@@ -261,26 +261,22 @@ type Options struct {
 // plus FCFS, SJF, LJF, CONS and Adaptive.
 func AlgorithmNames() []string { return experiment.Names() }
 
-// Simulate runs the workload under the named algorithm and returns the
-// measured result. -E variants process the workload's elastic control
-// commands; others ignore them (counted in Result.DroppedECC).
-func Simulate(w *Workload, algorithm string, opt Options) (*Result, error) {
-	algo, err := experiment.ByName(algorithm)
-	if err != nil {
-		return nil, err
-	}
-	if opt.M == 0 {
-		opt.M = 320
-	}
-	if opt.Unit == 0 {
-		opt.Unit = 32
-	}
-	pt := experiment.Point{Cs: opt.Cs, Lookahead: opt.Lookahead}
+// algorithm resolves a named algorithm together with the point carrying
+// opt's scheduler parameters, from which algo.New builds the policy.
+func (opt Options) algorithm(name string) (experiment.Algorithm, experiment.Point, error) {
+	algo, err := experiment.ByName(name)
+	return algo, experiment.Point{Cs: opt.Cs, Lookahead: opt.Lookahead}, err
+}
+
+// engineConfig builds the engine configuration opt describes around
+// scheduler s, defaulting the geometry to the paper's 320 processors in
+// groups of 32. processECC attaches the Elastic Control Command processor.
+func (opt Options) engineConfig(s Scheduler, processECC bool) engine.Config {
 	cfg := engine.Config{
 		M:              opt.M,
 		Unit:           opt.Unit,
-		Scheduler:      algo.New(pt),
-		ProcessECC:     algo.ECC,
+		Scheduler:      s,
+		ProcessECC:     processECC,
 		MaxECCPerJob:   opt.MaxECCPerJob,
 		Paranoid:       opt.Paranoid,
 		Contiguous:     opt.Contiguous,
@@ -289,10 +285,27 @@ func Simulate(w *Workload, algorithm string, opt Options) (*Result, error) {
 		Malleable:      opt.Malleable,
 		ResizeOverhead: opt.ResizeOverhead,
 	}
+	if cfg.M == 0 {
+		cfg.M = 320
+	}
+	if cfg.Unit == 0 {
+		cfg.Unit = 32
+	}
 	if opt.Trace != nil {
 		cfg.Observer = opt.Trace
 	}
-	return engine.Run(w, cfg)
+	return cfg
+}
+
+// Simulate runs the workload under the named algorithm and returns the
+// measured result. -E variants process the workload's elastic control
+// commands; others ignore them (counted in Result.DroppedECC).
+func Simulate(w *Workload, algorithm string, opt Options) (*Result, error) {
+	algo, pt, err := opt.algorithm(algorithm)
+	if err != nil {
+		return nil, err
+	}
+	return engine.Run(w, opt.engineConfig(algo.New(pt), algo.ECC))
 }
 
 // ShardedOptions configures SimulateSharded beyond the per-cluster Options.
@@ -344,39 +357,21 @@ type ShardedResult = dispatch.Result
 // have no deterministic interleaving). Results are deterministic for a
 // given workload, cluster count and policy, independent of sh.Workers.
 func SimulateSharded(w *Workload, algorithm string, opt Options, sh ShardedOptions) (*ShardedResult, error) {
-	algo, err := experiment.ByName(algorithm)
+	algo, pt, err := opt.algorithm(algorithm)
 	if err != nil {
 		return nil, err
-	}
-	if opt.M == 0 {
-		opt.M = 320
-	}
-	if opt.Unit == 0 {
-		opt.Unit = 32
 	}
 	if opt.Trace != nil {
 		return nil, dispatch.ErrTemplateObserver
 	}
-	pt := experiment.Point{Cs: opt.Cs, Lookahead: opt.Lookahead}
 	return dispatch.Run(w, dispatch.Config{
-		Clusters: sh.Clusters,
-		Workers:  sh.Workers,
-		Route:    sh.Route,
-		Epoch:    sh.Epoch,
-		Steal:    sh.Steal,
-		Affinity: sh.Affinity,
-		Engine: engine.Config{
-			M:              opt.M,
-			Unit:           opt.Unit,
-			ProcessECC:     algo.ECC,
-			MaxECCPerJob:   opt.MaxECCPerJob,
-			Paranoid:       opt.Paranoid,
-			Contiguous:     opt.Contiguous,
-			Migrate:        opt.Migrate,
-			Faults:         opt.Faults,
-			Malleable:      opt.Malleable,
-			ResizeOverhead: opt.ResizeOverhead,
-		},
+		Clusters:     sh.Clusters,
+		Workers:      sh.Workers,
+		Route:        sh.Route,
+		Epoch:        sh.Epoch,
+		Steal:        sh.Steal,
+		Affinity:     sh.Affinity,
+		Engine:       opt.engineConfig(nil, algo.ECC),
 		NewScheduler: func() Scheduler { return algo.New(pt) },
 	})
 }
@@ -387,34 +382,11 @@ func SimulateSharded(w *Workload, algorithm string, opt Options, sh ShardedOptio
 // or Run; Snapshot captures its complete state at any point. Simulate is
 // the one-shot composition of NewSession + Load + Run + Result.
 func NewSession(algorithm string, opt Options) (*Session, error) {
-	algo, err := experiment.ByName(algorithm)
+	algo, pt, err := opt.algorithm(algorithm)
 	if err != nil {
 		return nil, err
 	}
-	if opt.M == 0 {
-		opt.M = 320
-	}
-	if opt.Unit == 0 {
-		opt.Unit = 32
-	}
-	pt := experiment.Point{Cs: opt.Cs, Lookahead: opt.Lookahead}
-	cfg := engine.Config{
-		M:              opt.M,
-		Unit:           opt.Unit,
-		Scheduler:      algo.New(pt),
-		ProcessECC:     algo.ECC,
-		MaxECCPerJob:   opt.MaxECCPerJob,
-		Paranoid:       opt.Paranoid,
-		Contiguous:     opt.Contiguous,
-		Migrate:        opt.Migrate,
-		Faults:         opt.Faults,
-		Malleable:      opt.Malleable,
-		ResizeOverhead: opt.ResizeOverhead,
-	}
-	if opt.Trace != nil {
-		cfg.Observer = opt.Trace
-	}
-	return engine.New(cfg)
+	return engine.New(opt.engineConfig(algo.New(pt), algo.ECC))
 }
 
 // ResumeSession reads a snapshot written by (*SessionSnapshot).Encode and
@@ -440,11 +412,10 @@ func DecodeSessionSnapshot(r io.Reader) (*SessionSnapshot, error) {
 
 // ResumeSnapshot restores an already-decoded snapshot; see ResumeSession.
 func ResumeSnapshot(sn *SessionSnapshot, opt Options) (*Session, error) {
-	algo, err := experiment.ByName(sn.Scheduler)
+	algo, pt, err := opt.algorithm(sn.Scheduler)
 	if err != nil {
 		return nil, err
 	}
-	pt := experiment.Point{Cs: opt.Cs, Lookahead: opt.Lookahead}
 	cfg := engine.Config{
 		M:              sn.M,
 		Unit:           sn.Unit,
@@ -504,29 +475,7 @@ func ResumeSnapshot(sn *SessionSnapshot, opt Options) (*Session, error) {
 // workloads and metrics as the built-in algorithms. processECC attaches
 // the Elastic Control Command processor (the policy's -E behaviour).
 func SimulateWith(w *Workload, s Scheduler, processECC bool, opt Options) (*Result, error) {
-	if opt.M == 0 {
-		opt.M = 320
-	}
-	if opt.Unit == 0 {
-		opt.Unit = 32
-	}
-	cfg := engine.Config{
-		M:              opt.M,
-		Unit:           opt.Unit,
-		Scheduler:      s,
-		ProcessECC:     processECC,
-		MaxECCPerJob:   opt.MaxECCPerJob,
-		Paranoid:       opt.Paranoid,
-		Contiguous:     opt.Contiguous,
-		Migrate:        opt.Migrate,
-		Faults:         opt.Faults,
-		Malleable:      opt.Malleable,
-		ResizeOverhead: opt.ResizeOverhead,
-	}
-	if opt.Trace != nil {
-		cfg.Observer = opt.Trace
-	}
-	return engine.Run(w, cfg)
+	return engine.Run(w, opt.engineConfig(s, processECC))
 }
 
 // NewScheduler constructs a named policy directly (for use with custom

@@ -6,25 +6,37 @@
 // scalable-simulation papers structure it: global routing above, unmodified
 // per-cluster scheduling below.
 //
+// One runner serves every configuration. It builds one session per cluster
+// from a single per-cluster config builder, drains the sessions on one
+// persistent worker pool, and assembles one merged Result. Only the feeding
+// differs. With one cluster or Epoch == 0 (the no-barrier case) each session
+// is Loaded with its routed part and the pool drains them all in one
+// parallel Run. With Epoch > 0 on several clusters the epoch protocol
+// (epoch.go) releases work by Inject in barrier rounds and exchanges it at
+// each barrier; with a static route and stealing off it reproduces the
+// no-barrier result exactly.
+//
 // Determinism contract: routing is a pure function of the workload order,
 // the cluster count, and the routing policy (see Router — round-robin,
-// least-work, best-fit; commands always follow their job), every cluster
-// simulation is single-goroutine deterministic, and the merge walks
-// clusters in index order. The result is therefore byte-identically
-// reproducible for any worker count under every policy; the cross-worker
-// determinism test pins 1/2/4/8 workers for each policy. This is the same
-// parallel-execution/deterministic-reduction split the experiment sweeps
-// use.
+// least-work, best-fit, and feedback over the barrier digests; commands
+// always follow their job), every cluster simulation is single-goroutine
+// deterministic, and the merge walks clusters in index order. The result is
+// therefore byte-identically reproducible for any worker count under every
+// policy; the cross-worker determinism tests pin 1/2/4/8 workers for each
+// policy. This is the same parallel-execution/deterministic-reduction split
+// the experiment sweeps use.
 package dispatch
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"elastisched/internal/cwf"
 	"elastisched/internal/ecc"
 	"elastisched/internal/engine"
+	"elastisched/internal/job"
 	"elastisched/internal/metrics"
 	"elastisched/internal/sched"
 )
@@ -46,6 +58,9 @@ var (
 	// feedback routing — on a multi-cluster run without a positive Epoch:
 	// they all live in the epoch protocol's barrier exchange.
 	ErrEpochRequired = errors.New("dispatch: steal/affinity/feedback require a positive Epoch")
+	// ErrNegativeAffinity rejects a negative affinity class size: zero turns
+	// pinning off, and a negative value would silently do the same.
+	ErrNegativeAffinity = errors.New("dispatch: affinity must not be negative")
 )
 
 // Config describes one sharded run.
@@ -73,9 +88,10 @@ type Config struct {
 	// Epoch, when positive on a multi-cluster run, switches to the
 	// epoch-synchronization protocol: sessions step to shared virtual-time
 	// barriers every Epoch seconds, publish queue digests, and exchange
-	// work deterministically (see epoch.go). Zero keeps the one-shot static
-	// path. A single cluster always bypasses the epoch machinery: there is
-	// no peer to exchange with, and the plain path is byte-identical.
+	// work deterministically (see epoch.go). Zero is the no-barrier case:
+	// every session is Loaded with its routed part and run to completion. A
+	// single cluster is always the no-barrier case: there is no peer to
+	// exchange with.
 	Epoch int64
 	// Steal enables the barrier exchange step: idle clusters pull queued
 	// jobs from backlogged ones, commands following the job. Needs Epoch.
@@ -83,31 +99,60 @@ type Config struct {
 	// Affinity, when positive, pins every Affinity-th submission (job IDs
 	// divisible by Affinity) to a home cluster derived from its ID — a
 	// data-locality class that routing honors and stealing never violates.
-	// Needs Epoch.
+	// Needs Epoch; must not be negative.
 	Affinity int
 }
 
-func (cfg *Config) validate() error {
-	if cfg.Clusters < 1 {
-		return fmt.Errorf("%w (got %d)", ErrClusterCount, cfg.Clusters)
+// Validate checks the configuration and resolves its routing policy name,
+// reporting the first violation as one of the typed errors above or
+// ErrUnknownRoute. Run validates first; callers assembling configurations
+// ahead of a run (sweeps) call it to fail before any work is done.
+func (cfg Config) Validate() error {
+	_, err := cfg.router()
+	return err
+}
+
+// router validates the configuration and returns a fresh instance of its
+// routing policy.
+func (cfg Config) router() (Router, error) {
+	switch {
+	case cfg.Clusters < 1:
+		return nil, fmt.Errorf("%w (got %d)", ErrClusterCount, cfg.Clusters)
+	case cfg.NewScheduler == nil:
+		return nil, ErrNoScheduler
+	case cfg.Engine.Scheduler != nil:
+		return nil, ErrTemplateScheduler
+	case cfg.Engine.Observer != nil:
+		return nil, ErrTemplateObserver
+	case cfg.Affinity < 0:
+		return nil, fmt.Errorf("%w (got %d)", ErrNegativeAffinity, cfg.Affinity)
+	case cfg.Epoch < 0:
+		return nil, fmt.Errorf("%w (got epoch %d)", ErrEpochRequired, cfg.Epoch)
+	case cfg.Clusters > 1 && cfg.Epoch == 0 &&
+		(cfg.Steal || cfg.Affinity > 0 || cfg.Route == RouteFeedback):
+		return nil, ErrEpochRequired
 	}
-	if cfg.NewScheduler == nil {
-		return ErrNoScheduler
+	return NewRouter(cfg.Route)
+}
+
+// clusterConfig is cluster c's engine configuration: the template with its
+// own scheduler instance and validation skipped (Run validated the whole
+// workload). Multi-cluster merges need the per-job sample vectors for exact
+// global order statistics; a single cluster's summary already is the exact
+// global view, so it skips the export cost. Each cluster draws an
+// independent fault stream from a seed offset by its index, so the same
+// global seed fails the same groups of the same clusters on every run.
+func (cfg Config) clusterConfig(c int) engine.Config {
+	ecfg := cfg.Engine
+	ecfg.Scheduler = cfg.NewScheduler()
+	ecfg.Prevalidated = true
+	ecfg.ExportSamples = cfg.Clusters > 1
+	if cfg.Engine.Faults != nil {
+		fc := *cfg.Engine.Faults
+		fc.Seed += int64(c)
+		ecfg.Faults = &fc
 	}
-	if cfg.Engine.Scheduler != nil {
-		return ErrTemplateScheduler
-	}
-	if cfg.Engine.Observer != nil {
-		return ErrTemplateObserver
-	}
-	if cfg.Epoch < 0 {
-		return fmt.Errorf("%w (got epoch %d)", ErrEpochRequired, cfg.Epoch)
-	}
-	if cfg.Clusters > 1 && cfg.Epoch == 0 &&
-		(cfg.Steal || cfg.Affinity > 0 || cfg.Route == RouteFeedback) {
-		return ErrEpochRequired
-	}
-	return nil
+	return ecfg
 }
 
 // ClusterResult is one cluster's outcome.
@@ -149,21 +194,24 @@ type Result struct {
 	Clusters []ClusterResult
 	// Steals and Epochs report the epoch protocol's activity: jobs moved
 	// between clusters by the barrier exchange, and barrier rounds run.
-	// Both stay zero on the static path, so its serialized results are
+	// Both stay zero in the no-barrier case, so its serialized results are
 	// unchanged.
 	Steals int `json:",omitempty"`
 	Epochs int `json:",omitempty"`
 	// Owners maps job ID to the cluster that completed it — the routed home
-	// updated by steals. Nil on the static path (the split is a pure
-	// function of the workload there; see JobsPerCluster and route).
+	// updated by steals. Nil in the no-barrier case (the split is a pure
+	// function of the workload there; see route).
 	Owners map[int]int `json:",omitempty"`
 }
 
-// route splits the workload into per-cluster workloads: the router
-// assigns each submission in workload order, and each command follows its
-// job. The split depends only on the workload, the cluster count, and the
-// policy — never on timing or worker count.
-func route(w *cwf.Workload, clusters, m int, r Router) []*cwf.Workload {
+// route is the static split: the router assigns each submission in
+// workload order, and an affinity pin overrides its choice. The split
+// depends only on the workload, the cluster count, the policy and the pins
+// — never on timing or worker count. With homes nil it returns the
+// per-cluster workloads the no-barrier case Loads, each command following
+// its job. The epoch protocol, which releases work by Inject, passes homes
+// to receive every job's home cluster by ID instead, and gets no parts.
+func route(w *cwf.Workload, clusters, m, affinity int, r Router, homes map[int]int) []*cwf.Workload {
 	if clusters == 1 {
 		// Fast path: one cluster receives the whole workload unchanged.
 		// Skip the router, the per-job home map, and the per-part rebuild
@@ -172,28 +220,78 @@ func route(w *cwf.Workload, clusters, m int, r Router) []*cwf.Workload {
 		return []*cwf.Workload{w}
 	}
 	r.Reset(clusters, m)
-	parts := make([]*cwf.Workload, clusters)
-	for c := range parts {
-		parts[c] = &cwf.Workload{Header: w.Header}
+	var parts []*cwf.Workload
+	if homes == nil {
+		parts = make([]*cwf.Workload, clusters)
+		for c := range parts {
+			parts[c] = &cwf.Workload{Header: w.Header}
+		}
+		homes = make(map[int]int, len(w.Jobs))
 	}
-	home := make(map[int]int, len(w.Jobs))
 	for i, j := range w.Jobs {
-		c := r.Route(j)
-		if c < 0 || c >= clusters {
-			panic(fmt.Sprintf("dispatch: router %s sent job %d (index %d) to cluster %d of %d",
-				r.Name(), j.ID, i, c, clusters))
+		c := PinnedCluster(j.ID, affinity, clusters)
+		if c < 0 {
+			if c = r.Route(j); c < 0 || c >= clusters {
+				panic(fmt.Sprintf("dispatch: router %s sent job %d (index %d) to cluster %d of %d",
+					r.Name(), j.ID, i, c, clusters))
+			}
 		}
-		home[j.ID] = c
-		parts[c].Jobs = append(parts[c].Jobs, j)
+		homes[j.ID] = c
+		if parts != nil {
+			parts[c].Jobs = append(parts[c].Jobs, j)
+		}
 	}
-	for _, cmd := range w.Commands {
-		if c, ok := home[cmd.JobID]; ok {
-			parts[c].Commands = append(parts[c].Commands, cmd)
+	if parts != nil {
+		for _, cmd := range w.Commands {
+			if c, ok := homes[cmd.JobID]; ok {
+				parts[c].Commands = append(parts[c].Commands, cmd)
+			}
+			// A command referencing a job no cluster owns cannot exist in a
+			// validated workload; Run validates before routing.
 		}
-		// A command referencing a job no cluster owns cannot exist in a
-		// validated workload; Run validates before routing.
 	}
 	return parts
+}
+
+// runner is the state of one sharded run: the cluster sessions, the worker
+// pool that steps them, and — under the epoch protocol — the ownership,
+// digest and exchange state of epoch.go.
+type runner struct {
+	cfg      Config
+	workers  int
+	sessions []*engine.Session
+	errs     []error
+
+	dynamic DigestRouter // non-nil when the policy reads digests (feedback)
+	// parts holds the per-cluster workloads of the no-barrier case; nil
+	// under the epoch protocol, which releases work by Inject.
+	parts []*cwf.Workload
+	// owner maps job ID -> current cluster under the epoch protocol. A
+	// static split seeds it up front, feedback routing at release; it is
+	// updated only in the exchange step, so ownership is constant within an
+	// epoch and commands always land where their job is.
+	owner map[int]int
+
+	digests []Digest
+	steals  int
+	epochs  int
+
+	// Worker pool, spun up on the first parallel call and kept for the run:
+	// the epoch loop hits a barrier thousands of times per workload, so
+	// per-round goroutine spawns would dominate the protocol's own cost. fn
+	// is the current round's task, a method expression reading its inputs
+	// from the run state, so no round allocates a closure; the channel send
+	// into tasks publishes it, and wg.Wait() fences the round before fn is
+	// swapped.
+	tasks chan int
+	fn    func(e *runner, c int) error
+	wg    sync.WaitGroup
+
+	// Exchange-step and step-dispatch scratch, reused across epochs.
+	receivers, donors []int
+	victims           []*job.Job
+	active            []int
+	barrier           int64
 }
 
 // Run executes the workload across cfg.Clusters parallel cluster sessions
@@ -201,7 +299,8 @@ func route(w *cwf.Workload, clusters, m int, r Router) []*cwf.Workload {
 // per-cluster machine and not mutated (each session clones its jobs), so
 // the same workload can be replayed under other configurations.
 func Run(w *cwf.Workload, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	router, err := cfg.router()
+	if err != nil {
 		return nil, err
 	}
 	// Every job must fit one cluster's machine; validating the whole
@@ -211,96 +310,198 @@ func Run(w *cwf.Workload, cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	if cfg.Clusters > 1 && cfg.Epoch > 0 {
-		return runEpochs(w, cfg)
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	// NewDynamicRouter rather than NewRouter only for the Clusters == 1
-	// case, where validate admits any policy name (the route fast path
-	// never consults the router); a multi-cluster static run cannot reach
-	// here with RouteFeedback.
-	router, err := NewDynamicRouter(cfg.Route)
+	e := &runner{
+		cfg:      cfg,
+		workers:  min(workers, cfg.Clusters),
+		sessions: make([]*engine.Session, cfg.Clusters),
+		errs:     make([]error, cfg.Clusters),
+		active:   make([]int, 0, cfg.Clusters),
+	}
+	barriers := cfg.Clusters > 1 && cfg.Epoch > 0
+	if barriers {
+		e.owner = make(map[int]int, len(w.Jobs))
+		e.digests = make([]Digest, cfg.Clusters)
+		if dyn, ok := router.(DigestRouter); ok {
+			// Feedback routing decides each release from the last
+			// barrier's digests: there is no split up front.
+			dyn.Reset(cfg.Clusters, cfg.Engine.M)
+			e.dynamic = dyn
+		} else {
+			route(w, cfg.Clusters, cfg.Engine.M, cfg.Affinity, router, e.owner)
+		}
+	} else {
+		e.parts = route(w, cfg.Clusters, cfg.Engine.M, cfg.Affinity, router, nil)
+	}
+	if err := e.buildSessions(w); err != nil {
+		return nil, err
+	}
+	defer e.stopPool()
+	if barriers {
+		err = e.loop(w)
+	} else {
+		err = e.parallel((*runner).drainSession)
+	}
 	if err != nil {
 		return nil, err
 	}
+	return e.result()
+}
 
-	parts := route(w, cfg.Clusters, cfg.Engine.M, router)
-	outs := make([]*engine.Result, cfg.Clusters)
-	errs := make([]error, cfg.Clusters)
+// buildSessions creates one session per cluster. A no-barrier session is
+// Loaded later, in drainSession, and Load arms its faults over its own
+// part's span. Epoch-protocol sessions stay empty (they are fed by Inject)
+// and are armed here over the same horizon (see horizons).
+func (e *runner) buildSessions(w *cwf.Workload) error {
+	var horizon []int64
+	if e.parts == nil {
+		horizon = e.horizons(w)
+	}
+	for c := range e.sessions {
+		s, err := engine.New(e.cfg.clusterConfig(c))
+		if err == nil && horizon != nil {
+			err = s.ArmFaults(horizon[c])
+		}
+		if err != nil {
+			return fmt.Errorf("dispatch: cluster %d: %w", c, err)
+		}
+		e.sessions[c] = s
+	}
+	return nil
+}
 
-	workers := resolveWorkers(cfg.Workers, cfg.Clusters)
-	tasks := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			for c := range tasks {
-				ecfg := cfg.Engine
-				ecfg.Scheduler = cfg.NewScheduler()
-				ecfg.Prevalidated = true
-				if cfg.Clusters > 1 {
-					// Multi-cluster merges need the per-job sample vectors
-					// for exact global order statistics; a single cluster's
-					// summary is already the exact global view, so it skips
-					// the export cost.
-					ecfg.ExportSamples = true
-				}
-				if cfg.Engine.Faults != nil {
-					// Each cluster draws an independent fault stream from a
-					// seed offset by its index, so the same global seed fails
-					// the same groups of the same clusters on every run.
-					fc := *cfg.Engine.Faults
-					fc.Seed += int64(c)
-					ecfg.Faults = &fc
-				}
-				outs[c], errs[c] = engine.Run(parts[c], ecfg)
+// drainSession runs cluster c to completion: the no-barrier case's whole
+// run, and the epoch loop's last step once nothing is left to release or
+// exchange. A no-barrier session takes its routed part by Load inside its
+// task, so the bulk clones run in parallel too.
+func (e *runner) drainSession(c int) error {
+	s := e.sessions[c]
+	if e.parts != nil {
+		if err := s.Load(e.parts[c]); err != nil {
+			return err
+		}
+	}
+	return s.Run()
+}
+
+// parallel runs fn for every cluster; see parallelOver.
+func (e *runner) parallel(fn func(e *runner, c int) error) error {
+	active := e.active[:0]
+	for c := range e.sessions {
+		active = append(active, c)
+	}
+	e.active = active
+	return e.parallelOver(active, fn)
+}
+
+// parallelOver runs fn for the listed clusters on the run's persistent
+// worker pool and surfaces the first error in cluster order, regardless of
+// wall-clock completion order. The pool goroutines are started once and
+// reused for every round: the channel send publishes e.fn to the worker
+// picking the task up, and wg.Wait() fences the whole round before the
+// next call swaps fn. A single-cluster round runs inline — the handoff
+// costs more than it buys.
+func (e *runner) parallelOver(list []int, fn func(e *runner, c int) error) error {
+	if e.workers == 1 || len(list) == 1 {
+		for _, c := range list {
+			e.errs[c] = fn(e, c)
+		}
+	} else {
+		if e.tasks == nil {
+			// Workers range over their own copy of the channel: one that
+			// has not started by the time stopPool clears e.tasks must
+			// still see the close and exit.
+			tasks := make(chan int)
+			e.tasks = tasks
+			for i := 0; i < e.workers; i++ {
+				go func() {
+					for c := range tasks {
+						e.errs[c] = e.fn(e, c)
+						e.wg.Done()
+					}
+					e.wg.Done()
+				}()
 			}
-		}()
+		}
+		e.fn = fn
+		e.wg.Add(len(list))
+		for _, c := range list {
+			e.tasks <- c
+		}
+		e.wg.Wait()
 	}
-	for c := 0; c < cfg.Clusters; c++ {
-		tasks <- c
+	for _, c := range list {
+		if err := e.errs[c]; err != nil {
+			return fmt.Errorf("dispatch: cluster %d: %w", c, err)
+		}
 	}
-	close(tasks)
-	wg.Wait()
+	return nil
+}
 
-	// Surface the first error in cluster order, regardless of which worker
-	// hit it first on the wall clock.
-	for c, err := range errs {
+// stopPool releases the worker goroutines at the end of the run and waits
+// for them to exit, so a finished run leaves none behind.
+func (e *runner) stopPool() {
+	if e.tasks != nil {
+		e.wg.Add(e.workers)
+		close(e.tasks)
+		e.wg.Wait()
+		e.tasks = nil
+	}
+}
+
+// result assembles the merged Result from the drained sessions. A
+// cluster's job count is its routed part in the no-barrier case and its
+// final ownership share under the epoch protocol.
+func (e *runner) result() (*Result, error) {
+	res := &Result{
+		Clusters: make([]ClusterResult, len(e.sessions)),
+		Steals:   e.steals,
+		Epochs:   e.epochs,
+		Owners:   e.owner,
+	}
+	for c, p := range e.parts {
+		res.Clusters[c].Jobs = len(p.Jobs)
+	}
+	for _, c := range e.owner {
+		res.Clusters[c].Jobs++
+	}
+	for c, s := range e.sessions {
+		r, err := s.Result()
 		if err != nil {
 			return nil, fmt.Errorf("dispatch: cluster %d: %w", c, err)
 		}
-	}
-
-	res := &Result{Clusters: make([]ClusterResult, cfg.Clusters)}
-	for c, r := range outs {
-		res.Clusters[c] = ClusterResult{Cluster: c, Jobs: len(parts[c].Jobs), Result: r}
+		res.Clusters[c].Cluster = c
+		res.Clusters[c].Result = r
 		res.ECC = addECC(res.ECC, r.ECC)
 		res.DroppedECC += r.DroppedECC
 		res.Events += r.Events
 		res.Cycles += r.Cycles
 	}
-	res.Merged = mergeSummaries(outs, cfg.Engine.M)
+	res.Merged = mergeSummaries(res.Clusters, e.cfg.Engine.M)
 	return res, nil
 }
 
 // mergeSummaries combines per-cluster summaries into the global view,
 // walking clusters in index order so every float accumulates
 // deterministically. See Result.Merged for the field-by-field semantics.
-func mergeSummaries(outs []*engine.Result, clusterM int) metrics.Summary {
-	if len(outs) == 1 {
+func mergeSummaries(clusters []ClusterResult, clusterM int) metrics.Summary {
+	if len(clusters) == 1 {
 		// One cluster: its summary already is the exact global view,
 		// order statistics and queue depth included.
-		return outs[0].Summary
+		return clusters[0].Result.Summary
 	}
 	var g metrics.Summary
-	g.MachineSize = clusterM * len(outs)
+	g.MachineSize = clusterM * len(clusters)
 	first := true
 	// Busy processor-seconds reconstruct exactly from each cluster's
 	// utilization: area_i = util_i × span_i × M_i.
 	var area, waitSum, runSum, slowSum, boundedSum, batchSum, dedSum, onTimeSum float64
 	var batchJobs int
-	for _, r := range outs {
-		s := r.Summary
+	for _, cr := range clusters {
+		s := cr.Result.Summary
 		if s.Jobs == 0 && s.JobsStarted == 0 {
 			continue
 		}
@@ -357,7 +558,7 @@ func mergeSummaries(outs []*engine.Result, clusterM int) metrics.Summary {
 		g.MeanDedWait = dedSum / float64(g.DedicatedJobs)
 		g.DedicatedOnTime = onTimeSum / float64(g.DedicatedJobs)
 	}
-	mergeOrderStats(&g, outs)
+	mergeOrderStats(&g, clusters)
 	return g
 }
 
@@ -371,9 +572,10 @@ func mergeSummaries(outs []*engine.Result, clusterM int) metrics.Summary {
 // cluster-index-order accumulation. Clusters that ran without
 // ExportSamples leave the order-stat fields zero (the pre-export
 // behaviour).
-func mergeOrderStats(g *metrics.Summary, outs []*engine.Result) {
+func mergeOrderStats(g *metrics.Summary, clusters []ClusterResult) {
 	total := 0
-	for _, r := range outs {
+	for _, cr := range clusters {
+		r := cr.Result
 		if r.Samples == nil {
 			if r.Summary.Jobs > 0 {
 				return
@@ -386,7 +588,8 @@ func mergeOrderStats(g *metrics.Summary, outs []*engine.Result) {
 		return
 	}
 	waits := make([]float64, 0, total)
-	for _, r := range outs {
+	for _, cr := range clusters {
+		r := cr.Result
 		if r.Samples != nil {
 			waits = append(waits, r.Samples.Waits...)
 		}
@@ -402,7 +605,7 @@ func mergeOrderStats(g *metrics.Summary, outs []*engine.Result) {
 		g.SteadyWindow = [2]int64{g.WindowStart, g.WindowEnd}
 		return
 	}
-	finishes := mergeFinishes(outs, total)
+	finishes := mergeFinishes(clusters, total)
 	t0 := finishes[n/10]
 	t1 := finishes[n-1-n/10]
 	g.SteadyWindow = [2]int64{t0, t1}
@@ -411,7 +614,8 @@ func mergeOrderStats(g *metrics.Summary, outs []*engine.Result) {
 	}
 	var steadyArea, steadyWait float64
 	var steadyJobs int
-	for _, r := range outs {
+	for _, cr := range clusters {
+		r := cr.Result
 		if r.Samples == nil {
 			continue
 		}
@@ -434,13 +638,14 @@ func mergeOrderStats(g *metrics.Summary, outs []*engine.Result) {
 // completion order (finish times non-decreasing), so a k-way merge over
 // the cluster heads — lowest cluster index winning ties — produces the
 // sorted global sequence in O(total × clusters) with no sort.
-func mergeFinishes(outs []*engine.Result, total int) []int64 {
-	heads := make([]int, len(outs))
+func mergeFinishes(clusters []ClusterResult, total int) []int64 {
+	heads := make([]int, len(clusters))
 	merged := make([]int64, 0, total)
 	for {
 		best := -1
 		var bt int64
-		for c, r := range outs {
+		for c, cr := range clusters {
+			r := cr.Result
 			if r.Samples == nil || heads[c] >= len(r.Samples.PerJob) {
 				continue
 			}
@@ -469,14 +674,4 @@ func addECC(a, b ecc.Stats) ecc.Stats {
 	a.GrownProcs += b.GrownProcs
 	a.ShrunkProcs += b.ShrunkProcs
 	return a
-}
-
-// JobsPerCluster reports how a workload of n submissions spreads over
-// clusters — the per-cluster load factor tooling prints before a run.
-func JobsPerCluster(n, clusters int) []int {
-	counts := make([]int, clusters)
-	for i := 0; i < n; i++ {
-		counts[i%clusters]++
-	}
-	return counts
 }

@@ -154,8 +154,11 @@ func TestRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := route(w, 4, 320, rr)
-	want := JobsPerCluster(len(w.Jobs), 4)
+	parts := route(w, 4, 320, 0, rr, nil)
+	want := make([]int, 4)
+	for i := range w.Jobs {
+		want[i%4]++
+	}
 	total := 0
 	for c, p := range parts {
 		if len(p.Jobs) != want[c] {

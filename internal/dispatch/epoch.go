@@ -2,26 +2,25 @@ package dispatch
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"elastisched/internal/cwf"
-	"elastisched/internal/engine"
 	"elastisched/internal/job"
 )
 
-// This file is the dynamic half of the dispatcher: the deterministic
+// This file is the runner's barrier case: the deterministic
 // epoch-synchronization protocol behind Config.Epoch/Steal/Affinity and the
-// feedback routing policy.
+// feedback routing policy. Sessions start empty (buildSessions arms their
+// faults) and take their work by Inject, one release window at a time.
 //
 // Protocol. Virtual time is cut into epochs of Config.Epoch seconds. Per
 // round k with barrier T = (k+1)·Epoch:
 //
-//  1. Release: jobs with arrivals in (T−Epoch, T] are routed (affinity pin,
-//     else the precomputed static split, else the feedback router reading
-//     the last barrier's digests) and injected into their cluster; commands
-//     in the window follow their job's current owner.
+//  1. Release: jobs with arrivals in (T−Epoch, T] are routed (the
+//     precomputed static split with its affinity pins, else the pin or the
+//     feedback router reading the last barrier's digests) and injected into
+//     their cluster; commands in the window follow their job's current
+//     owner.
 //  2. Step: every cluster session advances to the barrier (RunUntil) on the
 //     worker pool. Sessions never interact while running.
 //  3. Exchange: at the barrier each cluster publishes a Digest, and the
@@ -39,108 +38,15 @@ import (
 // observes — so the result is byte-identical for any worker count, the same
 // bar the static policies meet.
 
-// epochRun is the state of one dynamic sharded run.
-type epochRun struct {
-	cfg      Config
-	workers  int
-	sessions []*engine.Session
-	errs     []error
-
-	router  Router
-	dynamic DigestRouter // non-nil when the policy reads digests (feedback)
-	// homes is the up-front static split (nil under feedback routing): the
-	// same job-order routing pass the one-shot path uses, so an epoch run
-	// with a static policy and stealing off reproduces it exactly.
-	homes map[int]int
-	// owner maps job ID -> current cluster. Seeded at release, updated only
-	// in the exchange step, so ownership is constant within an epoch and
-	// commands always land where their job is.
-	owner map[int]int
-
-	digests []Digest
-	steals  int
-	epochs  int
-
-	// Worker pool, spun up on the first parallel call and kept for the run:
-	// the loop hits a barrier thousands of times per workload, so per-epoch
-	// goroutine spawns would dominate the protocol's own cost. fn is the
-	// current round's task; the channel send into tasks publishes it, and
-	// wg.Wait() fences the round before fn is swapped.
-	tasks chan int
-	fn    func(c int) error
-	wg    sync.WaitGroup
-
-	// Exchange-step and step-dispatch scratch, reused across epochs.
-	receivers, donors []int
-	victims           []*job.Job
-	active            []int
-	barrier           int64
-}
-
-// runEpochs executes the workload under the epoch protocol. The caller has
-// validated the config and the workload.
-func runEpochs(w *cwf.Workload, cfg Config) (*Result, error) {
-	router, err := NewDynamicRouter(cfg.Route)
-	if err != nil {
-		return nil, err
-	}
-	e := &epochRun{
-		cfg:      cfg,
-		workers:  resolveWorkers(cfg.Workers, cfg.Clusters),
-		sessions: make([]*engine.Session, cfg.Clusters),
-		errs:     make([]error, cfg.Clusters),
-		router:   router,
-		owner:    make(map[int]int, len(w.Jobs)),
-		digests:  make([]Digest, cfg.Clusters),
-	}
-	router.Reset(cfg.Clusters, cfg.Engine.M)
-	if dyn, ok := router.(DigestRouter); ok {
-		e.dynamic = dyn
-	} else {
-		e.routeStatic(w)
-	}
-	if err := e.buildSessions(w); err != nil {
-		return nil, err
-	}
-	defer e.stopPool()
-	if err := e.loop(w); err != nil {
-		return nil, err
-	}
-	return e.result()
-}
-
-// routeStatic precomputes the whole split with the static router, exactly
-// as the one-shot path routes — job by job in workload order — with
-// affinity pins overriding the router's choice. With affinity off this is
-// byte-identical to route()'s assignment, which is what makes epoch mode
-// transparent for static policies.
-func (e *epochRun) routeStatic(w *cwf.Workload) {
-	e.homes = make(map[int]int, len(w.Jobs))
-	for i, j := range w.Jobs {
-		if pin := PinnedCluster(j.ID, e.cfg.Affinity, e.cfg.Clusters); pin >= 0 {
-			e.homes[j.ID] = pin
-			continue
-		}
-		c := e.router.Route(j)
-		if c < 0 || c >= e.cfg.Clusters {
-			panic(fmt.Sprintf("dispatch: router %s sent job %d (index %d) to cluster %d of %d",
-				e.router.Name(), j.ID, i, c, e.cfg.Clusters))
-		}
-		e.homes[j.ID] = c
-	}
-}
-
-// buildSessions creates one empty session per cluster (epoch mode feeds
-// them by Inject, never Load) and arms per-cluster fault streams with the
-// same seed offsets the one-shot path uses. The fault-sampling horizon
-// matches Load's: the cluster's own routed span under a static split, the
-// global span under feedback routing (homes unknown up front).
-func (e *epochRun) buildSessions(w *cwf.Workload) error {
+// horizons returns each cluster's fault-sampling horizon, the span Load
+// would use: the cluster's own routed span under a static split, the global
+// span under feedback routing (homes unknown up front).
+func (e *runner) horizons(w *cwf.Workload) []int64 {
 	horizon := make([]int64, e.cfg.Clusters)
 	for _, j := range w.Jobs {
 		end := j.Arrival + j.Dur
-		if e.homes != nil {
-			if c := e.homes[j.ID]; end > horizon[c] {
+		if e.dynamic == nil {
+			if c := e.owner[j.ID]; end > horizon[c] {
 				horizon[c] = end
 			}
 			continue
@@ -151,30 +57,11 @@ func (e *epochRun) buildSessions(w *cwf.Workload) error {
 			}
 		}
 	}
-	for c := range e.sessions {
-		ecfg := e.cfg.Engine
-		ecfg.Scheduler = e.cfg.NewScheduler()
-		ecfg.Prevalidated = true
-		ecfg.ExportSamples = true
-		if e.cfg.Engine.Faults != nil {
-			fc := *e.cfg.Engine.Faults
-			fc.Seed += int64(c)
-			ecfg.Faults = &fc
-		}
-		s, err := engine.New(ecfg)
-		if err != nil {
-			return fmt.Errorf("dispatch: cluster %d: %w", c, err)
-		}
-		if err := s.ArmFaults(horizon[c]); err != nil {
-			return fmt.Errorf("dispatch: cluster %d: %w", c, err)
-		}
-		e.sessions[c] = s
-	}
-	return nil
+	return horizon
 }
 
 // loop drives the release/step/exchange rounds to completion.
-func (e *epochRun) loop(w *cwf.Workload) error {
+func (e *runner) loop(w *cwf.Workload) error {
 	// Stable arrival/issue orders: ties keep workload (submission) order,
 	// matching the event-insertion order of a Load.
 	jobOrder := make([]int, len(w.Jobs))
@@ -194,9 +81,6 @@ func (e *epochRun) loop(w *cwf.Workload) error {
 
 	ji, ci := 0, 0
 	var t int64
-	// One closure for every step round: it reads the barrier from the run
-	// state, so the hot loop does not allocate a fresh capture per epoch.
-	step := func(c int) error { return e.sessions[c].RunUntil(e.barrier) }
 	for {
 		released := ji == len(jobOrder) && ci == len(cmdOrder)
 		if released {
@@ -206,7 +90,7 @@ func (e *epochRun) loop(w *cwf.Workload) error {
 			if !e.cfg.Steal {
 				// Nothing left to route and no exchange step to run: the
 				// sessions are independent now, drain them in parallel.
-				return e.parallel(func(c int) error { return e.sessions[c].Run() })
+				return e.parallel((*runner).drainSession)
 			}
 		} else if e.allDone() && e.allIdle() {
 			// Every cluster is drained and empty: fast-forward over the
@@ -238,17 +122,17 @@ func (e *epochRun) loop(w *cwf.Workload) error {
 		for ci < len(cmdOrder) && w.Commands[cmdOrder[ci]].Issue <= barrier {
 			cmd := w.Commands[cmdOrder[ci]]
 			ci++
+			// Under a static split every job's owner is known up front, so a
+			// command issued before its job's arrival reaches the job's home
+			// exactly as a Loaded part carries it, and counts ignored-unknown
+			// there.
 			c, ok := e.owner[cmd.JobID]
-			if !ok && e.homes != nil {
-				// The job is not released yet (or unknown): deliver to its
-				// static home, exactly as route() does — a command issued
-				// before its job's arrival counts ignored-unknown there. A
-				// command for a job no cluster owns cannot exist in a
-				// validated workload; mirror route() and drop it.
-				if c, ok = e.homes[cmd.JobID]; !ok {
+			if !ok {
+				if e.dynamic == nil {
+					// A command for a job no cluster owns cannot exist in a
+					// validated workload; drop it as route does.
 					continue
 				}
-			} else if !ok {
 				// Feedback routing: the job is released in a later window, so
 				// the command fires before its arrival and is ignored-unknown
 				// wherever it lands. Cluster 0 keeps the accounting
@@ -273,7 +157,7 @@ func (e *epochRun) loop(w *cwf.Workload) error {
 		}
 		e.active = active
 		e.barrier = barrier
-		if err := e.parallelOver(active, step); err != nil {
+		if err := e.parallelOver(active, (*runner).stepSession); err != nil {
 			return err
 		}
 		// Exchange: only when something consumes the digests — a static
@@ -298,23 +182,27 @@ func (e *epochRun) loop(w *cwf.Workload) error {
 	}
 }
 
-// routeRelease decides the cluster of one released job: affinity pin, the
-// precomputed static split, or the feedback router.
-func (e *epochRun) routeRelease(j *job.Job) int {
-	if e.homes != nil {
-		return e.homes[j.ID]
+// routeRelease decides the cluster of one released job: its home in the
+// precomputed static split (pins included), else the affinity pin or the
+// feedback router.
+func (e *runner) routeRelease(j *job.Job) int {
+	if e.dynamic == nil {
+		return e.owner[j.ID]
 	}
 	if pin := PinnedCluster(j.ID, e.cfg.Affinity, e.cfg.Clusters); pin >= 0 {
 		e.dynamic.Assigned(j, pin)
 		return pin
 	}
-	c := e.router.Route(j)
+	c := e.dynamic.Route(j)
 	if c < 0 || c >= e.cfg.Clusters {
 		panic(fmt.Sprintf("dispatch: router %s sent job %d to cluster %d of %d",
-			e.router.Name(), j.ID, c, e.cfg.Clusters))
+			e.dynamic.Name(), j.ID, c, e.cfg.Clusters))
 	}
 	return c
 }
+
+// stepSession advances cluster c to the current barrier.
+func (e *runner) stepSession(c int) error { return e.sessions[c].RunUntil(e.barrier) }
 
 // stealPass is the exchange step: computed at the barrier from the merged
 // digests, on one goroutine, in deterministic order. Idle clusters (empty
@@ -338,7 +226,7 @@ func (e *epochRun) routeRelease(j *job.Job) int {
 // Rigid jobs (failure victims entitled to the head) and jobs pinned to
 // another cluster never move. Digest entries are updated as moves happen,
 // so later decisions in the same pass see them.
-func (e *epochRun) stealPass(barrier int64) error {
+func (e *runner) stealPass(barrier int64) error {
 	receivers, donors := e.receivers[:0], e.donors[:0]
 	for c, d := range e.digests {
 		switch {
@@ -423,7 +311,7 @@ func (e *epochRun) stealPass(barrier int64) error {
 // and keeps the ownership map and both digest entries in step, so later
 // decisions in the same pass see the move. The caller maintains its own
 // remaining-free-capacity budget.
-func (e *epochRun) stealJob(j *job.Job, dn, r int, barrier int64) error {
+func (e *runner) stealJob(j *job.Job, dn, r int, barrier int64) error {
 	if err := e.sessions[dn].Withdraw(j); err != nil {
 		return fmt.Errorf("dispatch: cluster %d: %w", dn, err)
 	}
@@ -446,7 +334,7 @@ const stealDurCap = 8
 
 // sortByLoad stably orders cluster indices by digest load, ascending or
 // descending; appended in index order, ties keep the lower index first.
-func (e *epochRun) sortByLoad(list []int, desc bool) {
+func (e *runner) sortByLoad(list []int, desc bool) {
 	for i := 1; i < len(list); i++ {
 		c := list[i]
 		l := e.digests[c].load()
@@ -464,7 +352,7 @@ func (e *epochRun) sortByLoad(list []int, desc bool) {
 }
 
 // allDone reports whether every session has drained its event queue.
-func (e *epochRun) allDone() bool {
+func (e *runner) allDone() bool {
 	for _, s := range e.sessions {
 		if !s.Done() {
 			return false
@@ -474,111 +362,11 @@ func (e *epochRun) allDone() bool {
 }
 
 // allIdle reports whether no session holds queued or running work.
-func (e *epochRun) allIdle() bool {
+func (e *runner) allIdle() bool {
 	for _, s := range e.sessions {
 		if s.Waiting() != 0 || s.Running() != 0 {
 			return false
 		}
 	}
 	return true
-}
-
-// parallel runs fn for every cluster; see parallelOver.
-func (e *epochRun) parallel(fn func(c int) error) error {
-	active := e.active[:0]
-	for c := range e.sessions {
-		active = append(active, c)
-	}
-	e.active = active
-	return e.parallelOver(active, fn)
-}
-
-// parallelOver runs fn for the listed clusters on the run's persistent
-// worker pool and surfaces the first error in cluster order, regardless of
-// wall-clock completion order. The pool goroutines are started once and
-// reused for every round: the channel send publishes e.fn to the worker
-// picking the task up, and wg.Wait() fences the whole round before the
-// next call swaps fn. A single-cluster round runs inline — the handoff
-// costs more than it buys.
-func (e *epochRun) parallelOver(list []int, fn func(c int) error) error {
-	if e.workers == 1 || len(list) == 1 {
-		for _, c := range list {
-			e.errs[c] = fn(c)
-		}
-	} else {
-		if e.tasks == nil {
-			e.tasks = make(chan int)
-			for i := 0; i < e.workers; i++ {
-				go func() {
-					for c := range e.tasks {
-						e.errs[c] = e.fn(c)
-						e.wg.Done()
-					}
-				}()
-			}
-		}
-		e.fn = fn
-		e.wg.Add(len(list))
-		for _, c := range list {
-			e.tasks <- c
-		}
-		e.wg.Wait()
-	}
-	for _, c := range list {
-		if err := e.errs[c]; err != nil {
-			return fmt.Errorf("dispatch: cluster %d: %w", c, err)
-		}
-	}
-	return nil
-}
-
-// stopPool releases the worker goroutines at the end of the run.
-func (e *epochRun) stopPool() {
-	if e.tasks != nil {
-		close(e.tasks)
-		e.tasks = nil
-	}
-}
-
-// result assembles the merged Result from the drained sessions.
-func (e *epochRun) result() (*Result, error) {
-	outs := make([]*engine.Result, len(e.sessions))
-	for c, s := range e.sessions {
-		r, err := s.Result()
-		if err != nil {
-			return nil, fmt.Errorf("dispatch: cluster %d: %w", c, err)
-		}
-		outs[c] = r
-	}
-	res := &Result{
-		Clusters: make([]ClusterResult, len(outs)),
-		Steals:   e.steals,
-		Epochs:   e.epochs,
-		Owners:   e.owner,
-	}
-	perCluster := make([]int, len(outs))
-	for _, c := range e.owner {
-		perCluster[c]++
-	}
-	for c, r := range outs {
-		res.Clusters[c] = ClusterResult{Cluster: c, Jobs: perCluster[c], Result: r}
-		res.ECC = addECC(res.ECC, r.ECC)
-		res.DroppedECC += r.DroppedECC
-		res.Events += r.Events
-		res.Cycles += r.Cycles
-	}
-	res.Merged = mergeSummaries(outs, e.cfg.Engine.M)
-	return res, nil
-}
-
-// resolveWorkers applies the Config.Workers defaulting shared by the static
-// and epoch paths.
-func resolveWorkers(workers, clusters int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > clusters {
-		workers = clusters
-	}
-	return workers
 }

@@ -10,6 +10,7 @@ import (
 
 	"elastisched/internal/cwf"
 	"elastisched/internal/engine"
+	"elastisched/internal/fault"
 )
 
 // epochEngine is the per-cluster template every epoch test shares.
@@ -44,54 +45,82 @@ func skewDurations(w *cwf.Workload, seed int64) {
 	}
 }
 
-// TestEpochTransparencyStaticRoutes: with a static policy, stealing off,
-// and no faults, the epoch protocol is an implementation detail — releases
-// reproduce the one-shot split and the same-timestamp event order, so the
-// entire result (merged summary, ECC accounting, per-cluster results,
-// event and cycle counts) must equal the one-shot path's exactly.
+// TestEpochTransparencyStaticRoutes: with a static policy and stealing
+// off, the epoch protocol is an implementation detail — releases reproduce
+// the no-barrier split and the same-timestamp event order, so the entire
+// result (merged summary, ECC accounting, per-cluster results, event and
+// cycle counts) must equal the no-barrier run's exactly. The fault cells
+// pin that both ways of feeding a session draw the same per-cluster fault
+// streams over the same sampling horizons: Load arms each session itself,
+// the epoch protocol arms it explicitly.
 func TestEpochTransparencyStaticRoutes(t *testing.T) {
 	w := testWorkload(t, 240, 7)
-	for _, route := range Policies() {
-		t.Run(route, func(t *testing.T) {
-			base := Config{
-				Clusters:     4,
-				Engine:       epochEngine(),
-				NewScheduler: losFactory,
-				Route:        route,
+	faults := []struct {
+		name   string
+		faults *engine.FaultConfig
+	}{
+		{"", nil}, // unnamed, so the fault-free cells keep their route-only names
+		{"requeue-remaining", &engine.FaultConfig{
+			MTBF: 2e5, MTTR: 5e3, Seed: 5,
+			Retry: fault.RetryPolicy{Mode: fault.Requeue, Restart: fault.RemainingRuntime, Backoff: 30},
+		}},
+		{"periodic-checkpoint", &engine.FaultConfig{
+			MTBF: 2e5, MTTR: 5e3, Seed: 5,
+			Checkpoint: fault.CheckpointPeriodic, CheckpointInterval: 3600, CheckpointCost: 60,
+		}},
+	}
+	for _, fc := range faults {
+		for _, route := range Policies() {
+			name := route
+			if fc.name != "" {
+				name = fc.name + "/" + route
 			}
-			ref, err := Run(w, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := base
-			cfg.Epoch = 1009
-			got, err := Run(w, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Epochs == 0 {
-				t.Fatal("epoch path not taken")
-			}
-			if got.Steals != 0 {
-				t.Fatalf("stealing off moved %d jobs", got.Steals)
-			}
-			if !reflect.DeepEqual(got.Merged, ref.Merged) {
-				t.Errorf("merged summary differs:\nepoch   %+v\none-shot %+v", got.Merged, ref.Merged)
-			}
-			if !reflect.DeepEqual(got.ECC, ref.ECC) || got.DroppedECC != ref.DroppedECC {
-				t.Errorf("ECC accounting differs: epoch %+v/%d, one-shot %+v/%d",
-					got.ECC, got.DroppedECC, ref.ECC, ref.DroppedECC)
-			}
-			if got.Events != ref.Events || got.Cycles != ref.Cycles {
-				t.Errorf("events/cycles differ: epoch %d/%d, one-shot %d/%d",
-					got.Events, got.Cycles, ref.Events, ref.Cycles)
-			}
-			for c := range ref.Clusters {
-				if !reflect.DeepEqual(got.Clusters[c], ref.Clusters[c]) {
-					t.Errorf("cluster %d result differs", c)
+			t.Run(name, func(t *testing.T) {
+				eng := epochEngine()
+				eng.Faults = fc.faults
+				base := Config{
+					Clusters:     4,
+					Engine:       eng,
+					NewScheduler: losFactory,
+					Route:        route,
 				}
-			}
-		})
+				ref, err := Run(w, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fc.faults != nil && ref.Merged.KilledJobs == 0 {
+					t.Fatal("fault model killed no job; the cell exercises nothing")
+				}
+				cfg := base
+				cfg.Epoch = 1009
+				got, err := Run(w, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Epochs == 0 {
+					t.Fatal("epoch path not taken")
+				}
+				if got.Steals != 0 {
+					t.Fatalf("stealing off moved %d jobs", got.Steals)
+				}
+				if !reflect.DeepEqual(got.Merged, ref.Merged) {
+					t.Errorf("merged summary differs:\nepoch      %+v\nno-barrier %+v", got.Merged, ref.Merged)
+				}
+				if !reflect.DeepEqual(got.ECC, ref.ECC) || got.DroppedECC != ref.DroppedECC {
+					t.Errorf("ECC accounting differs: epoch %+v/%d, no-barrier %+v/%d",
+						got.ECC, got.DroppedECC, ref.ECC, ref.DroppedECC)
+				}
+				if got.Events != ref.Events || got.Cycles != ref.Cycles {
+					t.Errorf("events/cycles differ: epoch %d/%d, no-barrier %d/%d",
+						got.Events, got.Cycles, ref.Events, ref.Cycles)
+				}
+				for c := range ref.Clusters {
+					if !reflect.DeepEqual(got.Clusters[c], ref.Clusters[c]) {
+						t.Errorf("cluster %d result differs", c)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -341,7 +370,8 @@ func TestSingleClusterBypassesEpoch(t *testing.T) {
 }
 
 // TestEpochConfigErrors pins ErrEpochRequired for every dynamic feature
-// requested without an epoch on a multi-cluster run.
+// requested without an epoch on a multi-cluster run, and
+// ErrNegativeAffinity for a negative affinity class even with an epoch.
 func TestEpochConfigErrors(t *testing.T) {
 	w := testWorkload(t, 20, 1)
 	base := Config{
@@ -352,18 +382,23 @@ func TestEpochConfigErrors(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Config)
+		want   error
 	}{
-		{"steal without epoch", func(c *Config) { c.Steal = true }},
-		{"affinity without epoch", func(c *Config) { c.Affinity = 4 }},
-		{"feedback without epoch", func(c *Config) { c.Route = RouteFeedback }},
-		{"negative epoch", func(c *Config) { c.Epoch = -7 }},
+		{"steal without epoch", func(c *Config) { c.Steal = true }, ErrEpochRequired},
+		{"affinity without epoch", func(c *Config) { c.Affinity = 4 }, ErrEpochRequired},
+		{"feedback without epoch", func(c *Config) { c.Route = RouteFeedback }, ErrEpochRequired},
+		{"negative epoch", func(c *Config) { c.Epoch = -7 }, ErrEpochRequired},
+		{"negative affinity", func(c *Config) { c.Clusters, c.Epoch, c.Affinity = 4, 1009, -3 }, ErrNegativeAffinity},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
 			tc.mutate(&cfg)
-			if _, err := Run(w, cfg); !errors.Is(err, ErrEpochRequired) {
-				t.Fatalf("got %v, want errors.Is(err, ErrEpochRequired)", err)
+			if err := cfg.Validate(); !errors.Is(err, tc.want) {
+				t.Fatalf("Validate: got %v, want errors.Is(err, %v)", err, tc.want)
+			}
+			if _, err := Run(w, cfg); !errors.Is(err, tc.want) {
+				t.Fatalf("got %v, want errors.Is(err, %v)", err, tc.want)
 			}
 		})
 	}

@@ -29,13 +29,13 @@ const (
 	// RouteFeedback is the dynamic policy: arrivals are routed by the
 	// clusters' last-epoch barrier digests (observed outstanding work)
 	// instead of a model of the routed prefix. It needs the epoch protocol
-	// (Config.Epoch > 0) to have digests to read, so NewRouter rejects it;
-	// use NewDynamicRouter.
+	// (Config.Epoch > 0) to have digests to read: Config.Validate rejects
+	// it on a multi-cluster run without one.
 	RouteFeedback = "feedback"
 )
 
 // ErrUnknownRoute rejects a routing-policy name NewRouter does not know.
-var ErrUnknownRoute = fmt.Errorf("dispatch: unknown routing policy (want one of %v)", Policies())
+var ErrUnknownRoute = fmt.Errorf("dispatch: unknown routing policy (want one of %v)", DynamicPolicies())
 
 // Router decides which cluster each submission lands on. Implementations
 // must be purely workload-deterministic: jobs are presented in workload
@@ -54,10 +54,13 @@ type Router interface {
 }
 
 // NewRouter resolves a policy name ("" means RouteRoundRobin) to a fresh
-// Router instance. Routers hold routing state and are not safe to share
-// across concurrent routing passes.
+// Router instance: any of DynamicPolicies, feedback included. Routers hold
+// routing state and are not safe to share across concurrent routing
+// passes.
 func NewRouter(name string) (Router, error) {
 	switch name {
+	case RouteFeedback:
+		return &feedback{}, nil
 	case "", RouteRoundRobin:
 		return &roundRobin{}, nil
 	case RouteLeastWork:
@@ -69,7 +72,8 @@ func NewRouter(name string) (Router, error) {
 	}
 }
 
-// Policies lists the routing-policy names NewRouter accepts, sorted.
+// Policies lists the static routing-policy names, the ones a run without
+// an epoch accepts, sorted.
 func Policies() []string {
 	names := []string{RouteRoundRobin, RouteLeastWork, RouteBestFit}
 	sort.Strings(names)
@@ -90,15 +94,6 @@ type DigestRouter interface {
 	// Assigned informs the router of a placement it did not decide — an
 	// affinity-pinned job — so its load accounting stays coherent.
 	Assigned(j *job.Job, c int)
-}
-
-// NewDynamicRouter resolves a policy name for an epoch-mode run: every
-// static policy plus RouteFeedback.
-func NewDynamicRouter(name string) (Router, error) {
-	if name == RouteFeedback {
-		return &feedback{}, nil
-	}
-	return NewRouter(name)
 }
 
 // DynamicPolicies lists the routing-policy names an epoch-mode run

@@ -47,7 +47,7 @@ func TestRoutingPolicyProperties(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			parts := route(w, clusters, m, r)
+			parts := route(w, clusters, m, 0, r, nil)
 			if len(parts) != clusters {
 				t.Fatalf("%s/%d: %d parts", policy, clusters, len(parts))
 			}
@@ -79,7 +79,7 @@ func TestRoutingPolicyProperties(t *testing.T) {
 					policy, clusters, jobs, cmds, len(w.Jobs), len(w.Commands))
 			}
 			r2, _ := NewRouter(policy)
-			if again := route(w, clusters, m, r2); !reflect.DeepEqual(parts, again) {
+			if again := route(w, clusters, m, 0, r2, nil); !reflect.DeepEqual(parts, again) {
 				t.Fatalf("%s/%d: routing is not a pure function of the workload", policy, clusters)
 			}
 		}
@@ -91,7 +91,7 @@ func TestRoutingPolicyProperties(t *testing.T) {
 // rebuild, no router involvement.
 func TestRouteSingleClusterFastPath(t *testing.T) {
 	w := testWorkload(t, 40, 3)
-	parts := route(w, 1, 320, nil)
+	parts := route(w, 1, 320, 0, nil, nil)
 	if len(parts) != 1 || parts[0] != w {
 		t.Fatalf("route(w, 1) = %v, want the input workload itself", parts)
 	}
@@ -120,9 +120,9 @@ func TestLeastWorkBalancesSkew(t *testing.T) {
 		return
 	}
 	rr, _ := NewRouter(RouteRoundRobin)
-	rrParts := route(w, clusters, m, rr)
+	rrParts := route(w, clusters, m, 0, rr, nil)
 	lw, _ := NewRouter(RouteLeastWork)
-	lwParts := route(w, clusters, m, lw)
+	lwParts := route(w, clusters, m, 0, lw, nil)
 
 	rrSkew := float64(work(rrParts[0])) / float64(work(rrParts[1]))
 	if rrSkew < 10 {
@@ -146,7 +146,7 @@ func TestBestFitKeepsWideJobsFitting(t *testing.T) {
 		{ID: 3, Size: 320, Dur: 1000, Arrival: 2, ReqStart: -1},
 	}}
 	bf, _ := NewRouter(RouteBestFit)
-	parts := route(w, clusters, m, bf)
+	parts := route(w, clusters, m, 0, bf, nil)
 	if len(parts[0].Jobs) != 2 || parts[0].Jobs[0].ID != 1 || parts[0].Jobs[1].ID != 2 {
 		t.Fatalf("best-fit should stack both half-machine jobs on cluster 0, got %v", parts[0].Jobs)
 	}
@@ -155,7 +155,7 @@ func TestBestFitKeepsWideJobsFitting(t *testing.T) {
 	}
 
 	lw, _ := NewRouter(RouteLeastWork)
-	for _, p := range route(w, clusters, m, lw) {
+	for _, p := range route(w, clusters, m, 0, lw, nil) {
 		for _, j := range p.Jobs {
 			if j.ID == 3 && len(p.Jobs) == 1 {
 				t.Fatal("least-work gave the wide job an empty shard too; the contrast case is vacuous")

@@ -85,6 +85,24 @@ func (p Point) EffectiveCs() int {
 	return core.DefaultCs
 }
 
+// dispatchConfig is the dispatcher configuration of a sharded point: cfg is
+// the per-cluster engine template, a the algorithm every cluster runs.
+// Workers=1 keeps the sweep's own worker pool the only parallelism; the
+// dispatch result is identical for any value, so this is purely a
+// scheduling choice.
+func (p Point) dispatchConfig(cfg engine.Config, a Algorithm) dispatch.Config {
+	return dispatch.Config{
+		Clusters:     p.Clusters,
+		Workers:      1,
+		Engine:       cfg,
+		NewScheduler: func() sched.Scheduler { return a.New(p) },
+		Route:        p.Route,
+		Epoch:        p.Epoch,
+		Steal:        p.Steal,
+		Affinity:     p.Affinity,
+	}
+}
+
 // Typed point-validation errors, testable with errors.Is alongside the
 // fault package's (ErrNonPositiveMTBF, ErrNegativeMTTR,
 // ErrIntervalWithoutPeriodic, ...).
@@ -238,23 +256,16 @@ func (s *Sweep) Run(workers int) (*Result, error) {
 			return nil, fmt.Errorf("experiment %s: point %g sets Route=%q without Clusters > 1",
 				s.ID, pt.X, pt.Route)
 		}
-		if (pt.Epoch != 0 || pt.Steal || pt.Affinity > 0) && pt.Clusters <= 1 {
+		if (pt.Epoch != 0 || pt.Steal || pt.Affinity != 0) && pt.Clusters <= 1 {
 			return nil, fmt.Errorf("experiment %s: point %g sets epoch/steal/affinity without Clusters > 1",
 				s.ID, pt.X)
 		}
 		if pt.Clusters > 1 {
-			// Resolve the policy name up front so a typo fails the sweep
-			// before any workload is generated. Epoch mode admits the
-			// dynamic feedback policy on top of the static set.
-			resolve := dispatch.NewRouter
-			if pt.Epoch > 0 {
-				resolve = dispatch.NewDynamicRouter
-			}
-			if _, err := resolve(pt.Route); err != nil {
+			// The dispatcher's own validator, run before any workload is
+			// generated: a typo in the route name or a dynamic knob without
+			// an epoch fails the sweep up front.
+			if err := pt.dispatchConfig(engine.Config{}, s.Algorithms[0]).Validate(); err != nil {
 				return nil, fmt.Errorf("experiment %s: point %g: %w", s.ID, pt.X, err)
-			}
-			if pt.Epoch == 0 && (pt.Steal || pt.Affinity > 0 || pt.Route == dispatch.RouteFeedback) {
-				return nil, fmt.Errorf("experiment %s: point %g: %w", s.ID, pt.X, dispatch.ErrEpochRequired)
 			}
 		}
 	}
@@ -329,19 +340,7 @@ func (s *Sweep) Run(workers int) (*Result, error) {
 			}
 			if pt.Clusters > 1 {
 				// Sharded point: the cell records the merged global view.
-				// Workers=1 keeps the sweep's own worker pool the only
-				// parallelism; the dispatch result is identical for any
-				// value, so this is purely a scheduling choice.
-				r, err := dispatch.Run(w, dispatch.Config{
-					Clusters:     pt.Clusters,
-					Workers:      1,
-					Engine:       cfg,
-					NewScheduler: func() sched.Scheduler { return a.New(pt) },
-					Route:        pt.Route,
-					Epoch:        pt.Epoch,
-					Steal:        pt.Steal,
-					Affinity:     pt.Affinity,
-				})
+				r, err := dispatch.Run(w, pt.dispatchConfig(cfg, a))
 				if err != nil {
 					out.err = err
 					failed.Store(true)

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -89,5 +90,33 @@ func TestSweepRouteValidation(t *testing.T) {
 	s = shardedSweep("no-such-policy")
 	if _, err := s.Run(1); err == nil || !strings.Contains(err.Error(), "unknown routing policy") {
 		t.Fatalf("unknown policy accepted: %v", err)
+	}
+}
+
+// TestSweepDispatchValidation: a sharded point is checked by the
+// dispatcher's own validator before any workload is generated, so every
+// dispatch rule — dynamic knobs needing an epoch, a non-negative affinity
+// class — fails a sweep with the dispatcher's typed error.
+func TestSweepDispatchValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Point)
+		want   error
+	}{
+		{"feedback without epoch", func(p *Point) { p.Route = dispatch.RouteFeedback }, dispatch.ErrEpochRequired},
+		{"steal without epoch", func(p *Point) { p.Steal = true }, dispatch.ErrEpochRequired},
+		{"negative affinity", func(p *Point) { p.Epoch, p.Affinity = 1009, -3 }, dispatch.ErrNegativeAffinity},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := shardedSweep("")
+			tc.mutate(&s.Points[0])
+			r, err := s.Run(1)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("got %v, want errors.Is(err, %v)", err, tc.want)
+			}
+			if r != nil {
+				t.Fatal("rejected sweep returned a result")
+			}
+		})
 	}
 }
