@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-json bench-gate fuzz scale-smoke chaos malleable-smoke repro examples clean
+.PHONY: all build vet test race cover bench bench-json bench-gate fuzz scale-smoke chaos malleable-smoke repro repro-check examples clean
 
 all: build vet test
 
@@ -80,6 +80,12 @@ malleable-smoke:
 # Full evaluation suite with TSV outputs under results/.
 repro:
 	$(GO) run ./cmd/expsuite -out results
+
+# Regenerate the full evaluation suite into a scratch directory and fail
+# unless every file is byte-identical to the committed results/.
+repro-check:
+	@out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
+		$(GO) run ./cmd/expsuite -no-plots -out "$$out" >/dev/null && diff -r "$$out" results
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -179,6 +179,9 @@ func TestCheckpointConfigFlags(t *testing.T) {
 	if _, err := faultConfig(50000, 0, 1, "", "requeue", "full", 0, 0, "none", 600, 0); !errors.Is(err, fault.ErrIntervalWithoutPeriodic) {
 		t.Errorf("interval without periodic = %v, want ErrIntervalWithoutPeriodic", err)
 	}
+	if _, err := faultConfig(50000, 0, 1, "", "requeue", "full", 0, 0, "none", 0, 60); !errors.Is(err, fault.ErrCostWithoutPolicy) {
+		t.Errorf("cost without policy = %v, want ErrCostWithoutPolicy", err)
+	}
 	if _, err := faultConfig(50000, 0, 1, "", "requeue", "full", 0, 0, "periodic", 0, 0); !errors.Is(err, fault.ErrNonPositiveInterval) {
 		t.Errorf("periodic without interval = %v, want ErrNonPositiveInterval", err)
 	}

@@ -85,8 +85,8 @@ type (
 	// Backoff) or Drop.
 	RetryPolicy = fault.RetryPolicy
 	// CheckpointPolicy selects how running batch jobs checkpoint their
-	// progress: CheckpointNone (kills follow the RetryPolicy restart
-	// binary), CheckpointPeriodic (every FaultConfig.CheckpointInterval
+	// progress: CheckpointNone (the RetryPolicy's Restart picks where a
+	// killed job resumes), CheckpointPeriodic (every FaultConfig.CheckpointInterval
 	// seconds), CheckpointOnResize (every applied malleable resize doubles
 	// as a checkpoint), or CheckpointDaly (periodic at Daly's optimal
 	// interval sqrt(2·MTBF·C)). Set it via FaultConfig.Checkpoint.

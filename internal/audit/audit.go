@@ -16,9 +16,9 @@
 // the failure semantics: no placement overlaps a window in which one of its
 // node groups was down, kills and resubmissions follow the retry policy
 // (drop means no further spans, retry budgets and backoffs are respected),
-// and retried jobs account for the right amount of runtime. Trace-level
-// inconsistencies (repairs with no preceding failure, double failures) are
-// folded into the report.
+// and every attempt runs exactly what a replay of its restart points
+// predicts. Trace-level inconsistencies (repairs with no preceding
+// failure, double failures) are folded into the report.
 //
 // Under malleability (Options.Malleable) resized spans are additionally
 // held to the resize laws: size changes chain from the dispatch size on the
@@ -96,20 +96,20 @@ type Options struct {
 	// Retry is the engine's retry policy; meaningful only with Faults.
 	Retry fault.RetryPolicy
 	// Checkpoint is the engine's checkpoint policy; meaningful only with
-	// Faults. Any policy other than CheckpointNone supersedes the
-	// Retry.Restart accounting with a chain replay: every attempt's span
-	// must match a forward replay of its checkpoint schedule (interval
-	// charges included), and each kill must hand the next attempt exactly
-	// the engine's restart-from-checkpoint residual.
+	// Faults. Every attempt's span must match a forward replay of its
+	// checkpoint schedule (interval charges included), and each kill must
+	// hand the next attempt exactly the engine's residual from the
+	// victim's restart point (job.Job.CkptAt). Under CheckpointNone,
+	// Retry.Restart decides that point.
 	Checkpoint fault.CheckpointPolicy
 	// CheckpointInterval is the *resolved* base wall interval between a
 	// job's checkpoints — the configured periodic interval, or daly's
-	// derived single-group sqrt(2·MTBF·C) — and 0 for the on-resize
-	// policy, whose checkpoints ride on resizes instead of a timer.
-	// Meaningful only with Checkpoint.
+	// derived single-group sqrt(2·MTBF·C) — and 0 for the none and
+	// on-resize policies, which run no timer (engine.FaultConfig's
+	// ResolvedCheckpointInterval).
 	CheckpointInterval int64
 	// CheckpointCost is the engine's per-checkpoint (and per-restart)
-	// charge. Meaningful only with Checkpoint.
+	// charge; 0 under CheckpointNone.
 	CheckpointCost int64
 	// MTBF is the per-group mean time between failures the daly policy
 	// derives from: the chain replay recomputes each job's own interval
@@ -446,47 +446,14 @@ func checkFaults(byID map[int]*job.Job, spans []trace.Span, opt Options, add fun
 				continue
 			}
 		}
-		// Under a checkpoint policy the restart binary below is superseded:
-		// every attempt is held to the checkpoint chain replay instead.
-		if opt.Checkpoint != fault.CheckpointNone {
-			checkCheckpointChain(id, j, atts, opt, add)
-			continue
-		}
-		// Runtime accounting. eff is what the job needed end to end; kills
-		// may each add up to one clamp second under RemainingRuntime.
-		eff := j.EffectiveRuntime()
-		kills := 0
-		var total int64
-		for _, sp := range atts {
-			total += sp.End - sp.Start
-			if sp.Killed {
-				kills++
-				if sp.End-sp.Start > eff {
-					add("job %d attempt ran %d s before its kill, above its effective runtime %d",
-						id, sp.End-sp.Start, eff)
-				}
-			}
-		}
-		completed := !atts[len(atts)-1].Killed
-		if !completed {
-			continue
-		}
-		switch opt.Retry.Restart {
-		case fault.FullRuntime:
-			if got := atts[len(atts)-1].End - atts[len(atts)-1].Start; got != eff {
-				add("job %d final attempt ran %d s, expected full restart runtime %d", id, got, eff)
-			}
-		case fault.RemainingRuntime:
-			if total < eff || total > eff+int64(kills) {
-				add("job %d ran %d s across %d attempts, expected within [%d, %d]",
-					id, total, len(atts), eff, eff+int64(kills))
-			}
-		}
+		checkCheckpointChain(id, j, atts, opt, add)
 	}
 }
 
 // checkCheckpointChain replays one job's attempts under the engine's
-// checkpoint arithmetic and holds every recorded span to the replay.
+// restart arithmetic and holds every recorded span to the replay. Every
+// kill resumes the next attempt from the victim's restart point (see
+// job.Job.CkptAt); this is the only per-attempt runtime rule.
 //
 // With a chaining interval I > 0 and cost C, an attempt entering with
 // estimate D and actual A (effective eff) checkpoints at elapsed
@@ -504,10 +471,12 @@ func checkFaults(byID map[int]*job.Job, spans []trace.Span, opt Options, add fun
 //     checkpoint's elapsed offset k·I + (k−1)·C and r = C — both zero when
 //     no checkpoint was taken, which degenerates to a full restart.
 //
-// The on-resize policy has no timer (I = 0): its checkpoints ride on
-// resizes, and resized jobs are already exempt from runtime accounting, so
-// every audited attempt here restarts in full with no charges. Dedicated
-// jobs never checkpoint regardless of policy.
+// Without a policy there is no timer (I = 0) and RemainingRuntime is a
+// free checkpoint at the kill instant: off = e, r = 0. The on-resize
+// policy has no timer either: its checkpoints ride on resizes, and resized
+// jobs are already exempt from runtime accounting, so every audited
+// attempt here restarts in full with no charges. Dedicated jobs never
+// checkpoint regardless of policy.
 func checkCheckpointChain(id int, j *job.Job, atts []trace.Span, opt Options, add func(string, ...any)) {
 	I, C := opt.CheckpointInterval, opt.CheckpointCost
 	if opt.Checkpoint == fault.CheckpointDaly && opt.Unit > 0 {
@@ -521,6 +490,7 @@ func checkCheckpointChain(id int, j *job.Job, atts []trace.Span, opt Options, ad
 	if j.Class == job.Dedicated {
 		I = 0
 	}
+	killInstant := opt.Checkpoint == fault.CheckpointNone && opt.Retry.Restart == fault.RemainingRuntime
 	D, A := j.Dur, j.Actual
 	for i, sp := range atts {
 		eff := D
@@ -548,9 +518,12 @@ func checkCheckpointChain(id int, j *job.Job, atts []trace.Span, opt Options, ad
 			k = (e + C - 1) / (I + C)
 		}
 		var off, r int64
-		if k > 0 {
+		switch {
+		case k > 0:
 			off = k*I + (k-1)*C
 			r = C
+		case killInstant:
+			off = e
 		}
 		if D = D + k*C - off; D < 1 {
 			D = 1

@@ -280,7 +280,7 @@ func TestFaultDetectsShortFullRestart(t *testing.T) {
 		span(1, 64, 40, 100, 2, 3), // only 60s: remaining, not full
 	}
 	rep := Check(w, spans, fopts(tr, fault.RetryPolicy{Restart: fault.FullRuntime}))
-	wantViolation(t, rep, "final attempt ran 60 s, expected full restart runtime 100")
+	wantViolation(t, rep, "attempt 2 ran 60 s, checkpoint replay predicts 100")
 }
 
 func TestFaultRemainingRuntimeBounds(t *testing.T) {
@@ -296,10 +296,23 @@ func TestFaultRemainingRuntimeBounds(t *testing.T) {
 	}
 	bad := []trace.Span{
 		killedSpan(1, 64, 0, 40, 0, 1),
-		span(1, 64, 40, 130, 2, 3), // 40 + 90 = 130 > eff + kills
+		span(1, 64, 40, 130, 2, 3), // 90 s where 60 remain
 	}
 	rep = Check(w, bad, fopts(tr, fault.RetryPolicy{Restart: fault.RemainingRuntime}))
-	wantViolation(t, rep, "expected within [100, 101]")
+	wantViolation(t, rep, "attempt 2 ran 90 s, checkpoint replay predicts 60")
+}
+
+func TestFaultRemainingRuntimeIsExact(t *testing.T) {
+	// The kill at t=40 is a free checkpoint: the retry owes exactly the 60
+	// unfinished seconds. One second more is a violation, not clamp slack.
+	w := wlOf(bj(1, 64, 100, 0))
+	tr := ftr(fev(40, fault.Fail, 0), fev(200, fault.Repair, 0))
+	spans := []trace.Span{
+		killedSpan(1, 64, 0, 40, 0, 1),
+		span(1, 64, 40, 101, 2, 3),
+	}
+	rep := Check(w, spans, fopts(tr, fault.RetryPolicy{Restart: fault.RemainingRuntime}))
+	wantViolation(t, rep, "attempt 2 ran 61 s, checkpoint replay predicts 60")
 }
 
 // --- checkpoint chain rules -----------------------------------------------

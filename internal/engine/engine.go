@@ -19,7 +19,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"elastisched/internal/cwf"
 	"elastisched/internal/ecc"
@@ -61,10 +60,6 @@ type Config struct {
 	// contiguous placement fails, running jobs are compacted toward group
 	// zero and the placement retried.
 	Migrate bool
-	// DebugLog, when non-nil, receives one line per simulation event
-	// (arrival, dispatch, completion, ECC) — the scheduler-debugging
-	// trace. Slows the run; for tooling and tests.
-	DebugLog io.Writer
 	// Prevalidated promises the caller already ran w.Validate(M)
 	// successfully, skipping re-validation. Set by sweep drivers that replay
 	// one validated workload under many algorithms.
@@ -251,7 +246,7 @@ func noopWake(int64) {}
 
 func (s *Session) arriveEv(now int64, arg any)   { s.arrive(arg.(*job.Job), now) }
 func (s *Session) completeEv(now int64, arg any) { s.complete(arg.(*job.Job), now) }
-func (s *Session) commandEv(now int64, arg any)  { s.command(*arg.(*cwf.Command), now) }
+func (s *Session) commandEv(_ int64, arg any)    { s.command(*arg.(*cwf.Command)) }
 
 // setCompletion records the pending completion event for a job ID.
 func (s *Session) setCompletion(id int, h simkit.Handle) {
@@ -740,6 +735,11 @@ func (s *Session) checkInvariants() error {
 		if j.State != job.Running {
 			return fmt.Errorf("engine: job %d in active list with state %v", j.ID, j.State)
 		}
+		// A kill reshapes the resubmission from EndTime, so Dur must track it.
+		if j.EndTime != j.StartTime+j.Dur {
+			return fmt.Errorf("engine: running job %d has kill-by %d, start %d + dur %d",
+				j.ID, j.EndTime, j.StartTime, j.Dur)
+		}
 	}
 	return nil
 }
@@ -778,24 +778,10 @@ func (s *Session) scheduleInstant() error {
 	}
 }
 
-// debugf writes one event line to the debug log. Callers must check
-// debugging() first: a variadic call boxes its arguments at the call site,
-// which would put per-event allocations on the hot path even with no log
-// attached.
-func (s *Session) debugf(format string, args ...any) {
-	fmt.Fprintf(s.cfg.DebugLog, format+"\n", args...)
-}
-
-// debugging reports whether a debug log is attached.
-func (s *Session) debugging() bool { return s.cfg.DebugLog != nil }
-
 // arrive admits a job to its waiting queue.
 func (s *Session) arrive(j *job.Job, now int64) {
 	j.State = job.Waiting
 	j.LastSkip = -1
-	if s.debugging() {
-		s.debugf("t=%d arrive job=%d class=%s size=%d dur=%d", now, j.ID, j.Class, j.Size, j.Dur)
-	}
 	s.collector.JobArrived(j, now)
 	if s.st != nil {
 		s.st.JobArrived(j, now)
@@ -850,9 +836,6 @@ func (s *Session) start(j *job.Job) bool {
 	s.setCompletion(j.ID, s.eng.AtArg(now+j.EffectiveRuntime(), s.completeH, j))
 	s.scheduleFirstCheckpoint(j, now)
 	s.active.Insert(j)
-	if s.debugging() {
-		s.debugf("t=%d start job=%d size=%d killby=%d wait=%d", now, j.ID, j.Size, j.EndTime, j.Wait())
-	}
 	s.collector.JobStarted(j, now)
 	if s.st != nil {
 		s.st.JobStarted(j, now)
@@ -873,9 +856,6 @@ func (s *Session) complete(j *job.Job, now int64) {
 	s.cancelCheckpoint(j.ID)
 	j.State = job.Finished
 	j.FinishTime = now
-	if s.debugging() {
-		s.debugf("t=%d finish job=%d ran=%d", now, j.ID, j.RunTime())
-	}
 	s.collector.JobFinished(j, now)
 	if s.st != nil {
 		s.st.JobFinished(j, now)
@@ -886,18 +866,12 @@ func (s *Session) complete(j *job.Job, now int64) {
 }
 
 // command processes one Elastic Control Command event.
-func (s *Session) command(c cwf.Command, now int64) {
+func (s *Session) command(c cwf.Command) {
 	if s.proc == nil {
 		s.dropped++
-		if s.debugging() {
-			s.debugf("t=%d ecc job=%d %s %d dropped (no processor)", now, c.JobID, c.Type, c.Amount)
-		}
 		return
 	}
-	out := s.proc.Apply(c, s)
-	if s.debugging() {
-		s.debugf("t=%d ecc job=%d %s %d -> %s", now, c.JobID, c.Type, c.Amount, out)
-	}
+	s.proc.Apply(c, s)
 }
 
 // --- ecc.Target implementation -------------------------------------------
@@ -1028,9 +1002,6 @@ func (s *Session) finishResize(j *job.Job, newSize int, auto bool) {
 	s.collector.SizeChanged(newSize-oldSize, now)
 	if auto {
 		s.collector.SchedulerResized()
-	}
-	if s.debugging() {
-		s.debugf("t=%d resize job=%d %d->%d auto=%v killby=%d", now, j.ID, oldSize, newSize, auto, j.EndTime)
 	}
 	if s.st != nil {
 		s.st.JobResized(j, oldSize, now)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -549,22 +548,6 @@ func TestOversubscribingPolicyPanics(t *testing.T) {
 	Run(w, Config{M: 320, Unit: 32, Scheduler: overAllocator{}}) //nolint:errcheck
 }
 
-func TestDebugLogRecordsLifecycle(t *testing.T) {
-	var buf bytes.Buffer
-	w := wl(batch(1, 320, 100, 0))
-	w.Commands = []cwf.Command{{JobID: 1, Issue: 50, Type: cwf.ExtendTime, Amount: 10}}
-	_, err := Run(w, Config{M: 320, Unit: 32, Scheduler: &sched.EASY{}, ProcessECC: true, DebugLog: &buf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := buf.String()
-	for _, want := range []string{"arrive job=1", "start job=1", "ecc job=1 ET 10 -> applied", "finish job=1 ran=110"} {
-		if !strings.Contains(log, want) {
-			t.Errorf("debug log missing %q:\n%s", want, log)
-		}
-	}
-}
-
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	mk := func() *Session {
 		return &Session{
@@ -593,6 +576,14 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	s.active.Insert(&job.Job{ID: 1, Size: 64, State: job.Finished, EndTime: 10, ReqStart: -1})
 	if err := s.checkInvariants(); err == nil {
 		t.Error("finished job in active list not caught")
+	}
+
+	// Running job whose kill-by time drifted from StartTime + Dur.
+	s = mk()
+	s.mach.Alloc(1, 64)
+	s.active.Insert(&job.Job{ID: 1, Size: 64, State: job.Running, StartTime: 0, Dur: 10, EndTime: 15, ReqStart: -1})
+	if err := s.checkInvariants(); err == nil {
+		t.Error("kill-by drifted from start + dur not caught")
 	}
 
 	// Batch queue out of FIFO order (simulating queue corruption).

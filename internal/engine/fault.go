@@ -33,19 +33,18 @@ type FaultConfig struct {
 	// unlimited retries.
 	Retry fault.RetryPolicy
 
-	// Checkpoint selects when running batch jobs save restart state. With
-	// any policy other than CheckpointNone, a kill restarts the victim
-	// from its last checkpoint — residual estimate from the checkpoint
-	// instant plus one CheckpointCost restart charge — superseding the
-	// Retry.Restart full/remaining binary. CheckpointNone (the zero value)
-	// is the exact pre-checkpoint behaviour.
+	// Checkpoint selects when running batch jobs move their restart point
+	// (job.Job.CkptAt) forward. Any policy other than CheckpointNone
+	// supersedes Retry.Restart; CheckpointNone (the zero value) leaves the
+	// restart point to Retry.Restart and charges nothing.
 	Checkpoint fault.CheckpointPolicy
 	// CheckpointInterval is the periodic policy's interval I in sim
 	// seconds (CheckpointPeriodic only; daly derives its own from MTBF).
 	CheckpointInterval int64
 	// CheckpointCost is the time C one checkpoint adds to the job's
 	// remaining runtime, and the restart charge a kill adds when a
-	// checkpoint exists to restart from.
+	// checkpoint exists to restart from. It must be zero under
+	// CheckpointNone.
 	CheckpointCost int64
 }
 
@@ -157,15 +156,12 @@ func (s *Session) applyFault(ev *fault.Event, now int64) {
 			// an out-of-range group here is an engine bug.
 			panic(fmt.Sprintf("engine: applying fault at t=%d: %v", now, err))
 		}
-		if s.debugging() {
-			s.debugf("t=%d fail groups=%v down=%d victims=%d", now, ev.Groups, failed, len(victims))
-		}
 		for _, id := range victims {
 			j := s.active.Find(id)
 			if j == nil {
 				panic(fmt.Sprintf("engine: failure victim job %d not in active list at t=%d", id, now))
 			}
-			if s.shrinkVictim(j, now) {
+			if s.shrinkVictim(j) {
 				continue
 			}
 			s.kill(j, now)
@@ -177,9 +173,6 @@ func (s *Session) applyFault(ev *fault.Event, now int64) {
 		repaired, err := s.mach.RepairGroups(ev.Groups)
 		if err != nil {
 			panic(fmt.Sprintf("engine: applying repair at t=%d: %v", now, err))
-		}
-		if s.debugging() {
-			s.debugf("t=%d repair groups=%v restored=%d", now, ev.Groups, repaired)
 		}
 		if repaired > 0 {
 			s.notifyCapacity(now)
@@ -205,16 +198,13 @@ func (s *Session) notifyCapacity(now int64) {
 // bounds qualify, only in Malleable mode, and only when the surviving
 // allocation stays at or above the job's minimum (on contiguous machines,
 // the longest surviving contiguous run must).
-func (s *Session) shrinkVictim(j *job.Job, now int64) bool {
+func (s *Session) shrinkVictim(j *job.Job) bool {
 	if !s.cfg.Malleable || j.Class != job.Batch || !j.Malleable() {
 		return false
 	}
 	newSize, err := s.mach.ShrinkDraining(j.ID, j.MinProcs)
 	if err != nil {
 		return false
-	}
-	if s.debugging() {
-		s.debugf("t=%d fault-shrink job=%d %d->%d", now, j.ID, j.Size, newSize)
 	}
 	if newSize != j.Size {
 		s.finishResize(j, newSize, true)
@@ -238,15 +228,17 @@ func (s *Session) kill(j *job.Job, now int64) {
 	s.cancelCheckpoint(j.ID)
 
 	p := s.cfg.Faults.Retry
-	ckpt := s.cfg.Faults.Checkpoint
 	requeue := j.Class == job.Batch && p.Mode == fault.Requeue &&
 		(p.MaxRetries == 0 || j.Retries < p.MaxRetries)
+	if requeue && p.Restart == fault.RemainingRuntime && s.cfg.Faults.Checkpoint == fault.CheckpointNone {
+		// RemainingRuntime is a free checkpoint at the kill instant.
+		j.CkptAt = now
+	}
 
-	// Lost work: a requeued victim with a checkpoint loses only the work
-	// done since it (a dropped one loses everything it ran — checkpoints
-	// cannot help a job that never comes back).
+	// Lost work: a requeued victim loses the work done since its restart
+	// point; a dropped one loses everything it ran.
 	lostFrom := j.StartTime
-	if requeue && ckpt != fault.CheckpointNone && j.CkptAt > lostFrom {
+	if requeue {
 		lostFrom = j.CkptAt
 	}
 	s.collector.JobKilled(j, now, requeue, lostFrom)
@@ -260,44 +252,25 @@ func (s *Session) kill(j *job.Job, now int64) {
 	if !requeue {
 		j.State = job.Dropped
 		j.FinishTime = now
-		if s.debugging() {
-			s.debugf("t=%d kill job=%d dropped retries=%d", now, j.ID, j.Retries)
-		}
 		return
 	}
 
-	// Reshape the job for resubmission.
-	//
-	// Under a checkpoint policy the resubmission resumes from the last
-	// checkpoint: the estimate becomes the residual from the checkpoint
-	// instant plus one CheckpointCost restart charge (no charge when no
-	// checkpoint was taken — there is no saved state to reload), and the
-	// actual runtime loses the work completed before the checkpoint. Both
-	// are clamped to at least one second (the failure may land exactly at
-	// the kill-by instant). This supersedes the Restart binary below.
-	//
-	// Without a checkpoint policy, RemainingRuntime keeps only the
-	// unfinished work (the pre-checkpoint model of a free, always-current
-	// checkpoint) and FullRuntime restarts from scratch with the job's
-	// current requirements.
-	if ckpt != fault.CheckpointNone {
-		last := j.CkptAt
-		var restart int64
-		if last > j.StartTime {
-			restart = s.cfg.Faults.CheckpointCost
-		}
-		eff := j.EffectiveRuntime()
-		j.Dur = max64(j.EndTime-last, 1) + restart
-		if j.Actual > 0 {
-			j.Actual = max64(eff-(last-j.StartTime), 1) + restart
-		}
-	} else if p.Restart == fault.RemainingRuntime {
-		eff := j.EffectiveRuntime()
-		elapsed := now - j.StartTime
-		j.Dur = max64(j.EndTime-now, 1)
-		if j.Actual > 0 {
-			j.Actual = max64(eff-elapsed, 1)
-		}
+	// Reshape the job to resume from its restart point: the estimate
+	// becomes the residual from that instant, the actual runtime loses the
+	// work completed before it, and both carry one CheckpointCost restart
+	// charge when there is saved state to reload (the restart point lies
+	// past dispatch; the cost is zero without a policy). Both are clamped
+	// to at least one second: the failure may land exactly at the kill-by
+	// instant. With the restart point still at dispatch this is a full
+	// restart with the job's current requirements.
+	var restart int64
+	if j.CkptAt > j.StartTime {
+		restart = s.cfg.Faults.CheckpointCost
+	}
+	eff := j.EffectiveRuntime()
+	j.Dur = max64(j.EndTime-j.CkptAt, 1) + restart
+	if j.Actual > 0 {
+		j.Actual = max64(eff-(j.CkptAt-j.StartTime), 1) + restart
 	}
 	j.Retries++
 	j.Arrival = now + p.Backoff
@@ -306,9 +279,6 @@ func (s *Session) kill(j *job.Job, now int64) {
 	j.Rigid = true
 	j.State = job.Waiting
 	s.eng.AtArg(j.Arrival, s.arriveH, j)
-	if s.debugging() {
-		s.debugf("t=%d kill job=%d requeued at=%d dur=%d retries=%d", now, j.ID, j.Arrival, j.Dur, j.Retries)
-	}
 }
 
 // --- checkpointing --------------------------------------------------------
@@ -388,9 +358,6 @@ func (s *Session) checkpoint(j *job.Job, now int64) {
 	j.CkptAt = now
 	s.collector.CheckpointTaken(c, j.Size)
 	s.ckpt[j.ID] = s.eng.AtArg(now+c+s.ckptIntervalFor(j), s.ckptH, j)
-	if s.debugging() {
-		s.debugf("t=%d checkpoint job=%d cost=%d killby=%d", now, j.ID, c, j.EndTime)
-	}
 }
 
 func max64(a, b int64) int64 {

@@ -100,9 +100,11 @@ func TestRetryBudgetExhaustionDrops(t *testing.T) {
 func TestRemainingRuntimeRestart(t *testing.T) {
 	// A 32-proc job killed at t=40 of its 100s run restarts immediately on
 	// a healthy group carrying only the 60 unfinished seconds.
+	// The kill is a free checkpoint, so none of the 40 s already run is
+	// lost.
 	w := wl(batch(1, 32, 100, 0))
 	rec := trace.NewRecorder(320, 32)
-	mustRun(t, w, Config{Scheduler: sched.FCFS{}, Observer: rec,
+	r := mustRun(t, w, Config{Scheduler: sched.FCFS{}, Observer: rec,
 		Faults: &FaultConfig{Trace: ftrace(fail(40, 0), repair(500, 0)),
 			Retry: fault.RetryPolicy{Restart: fault.RemainingRuntime}}})
 	spans := rec.Spans()
@@ -114,6 +116,28 @@ func TestRemainingRuntimeRestart(t *testing.T) {
 	}
 	if sp := spans[1]; sp.Killed || sp.Start != 40 || sp.End != 100 {
 		t.Errorf("second span = %+v, want [40,100)", sp)
+	}
+	if got := r.Summary.LostWorkSeconds; got != 0 {
+		t.Errorf("lost work = %g, want 0 (the kill checkpointed the 40 s run)", got)
+	}
+}
+
+func TestRemainingRuntimeDropLosesAttempt(t *testing.T) {
+	// One retry allowed. The first kill (t=40) requeues from a free
+	// checkpoint and loses nothing; the second (t=70, 30 s into the retry)
+	// exhausts the budget. A dropped victim never comes back, so its whole
+	// 30 s attempt on 32 procs is lost.
+	w := wl(batch(1, 32, 100, 0))
+	r := mustRun(t, w, Config{Scheduler: sched.FCFS{},
+		Faults: &FaultConfig{
+			Trace: ftrace(fail(40, 0), fail(70, 1, 2, 3, 4, 5, 6, 7, 8, 9), repair(500, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9)),
+			Retry: fault.RetryPolicy{Restart: fault.RemainingRuntime, MaxRetries: 1}}})
+	s := r.Summary
+	if s.KilledJobs != 2 || s.RetriedJobs != 1 || s.DroppedJobs != 1 {
+		t.Errorf("killed/retried/dropped = %d/%d/%d, want 2/1/1", s.KilledJobs, s.RetriedJobs, s.DroppedJobs)
+	}
+	if s.LostWorkSeconds != 30*32 {
+		t.Errorf("lost work = %g, want %d", s.LostWorkSeconds, 30*32)
 	}
 }
 
@@ -195,6 +219,7 @@ func TestFaultConfigValidation(t *testing.T) {
 		{"negative backoff", &FaultConfig{MTBF: 100, Retry: fault.RetryPolicy{Backoff: -1}}, fault.ErrNegativeBackoff},
 		{"unknown retry mode", &FaultConfig{MTBF: 100, Retry: fault.RetryPolicy{Mode: 9}}, fault.ErrUnknownRetryMode},
 		{"unknown restart", &FaultConfig{MTBF: 100, Retry: fault.RetryPolicy{Restart: 9}}, fault.ErrUnknownRestart},
+		{"checkpoint cost without policy", &FaultConfig{MTBF: 100, CheckpointCost: 60}, fault.ErrCostWithoutPolicy},
 		{"trace plus MTBF", &FaultConfig{Trace: ftrace(fail(1, 0), repair(2, 0)), MTBF: 100}, nil},
 		{"trace group out of range", &FaultConfig{Trace: ftrace(fail(1, 10))}, fault.ErrGroupOutOfRange},
 	}

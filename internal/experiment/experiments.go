@@ -542,17 +542,18 @@ func AdaptiveStudy() *Experiment {
 	}
 }
 
-// Robustness is the malleability study: mean waiting time and destroyed
-// work against the per-group failure rate, rigid against malleable. Both
+// Robustness is the malleability study: mean waiting time and kills
+// against the per-group failure rate, rigid against malleable. Both
 // panels replay identical workloads (every batch job carries full bounds;
 // PM only annotates, it never changes sizes or arrivals) and identical
 // per-seed fault traces, so each -M cell is a paired comparison with its
 // rigid twin. In the rigid panel every failure victim dies and restarts;
 // in the malleable panel victims shrink onto their surviving node groups
 // when the remainder covers their minimum, and the schedulers additionally
-// shrink runners to admit the queue head. Expected: malleability converts
-// lost work into ceded capacity and flattens the wait-time growth as MTBF
-// drops.
+// shrink runners to admit the queue head. Both panels restart victims
+// with their remaining runtime, a free checkpoint at the kill, so neither
+// loses completed work. Expected: malleability converts kills into ceded
+// capacity and flattens the slowdown growth as MTBF drops.
 func Robustness() *Experiment {
 	mtbfs := []float64{20000, 40000, 80000, 160000}
 	panel := func(id string, malleable bool, names ...string) *Sweep {
@@ -583,7 +584,7 @@ func Robustness() *Experiment {
 	return &Experiment{
 		ID:    "robustness",
 		Title: "Extension: rigid vs malleable scheduling under node-group failures (MTBF sweep)",
-		Notes: "Expected: -M variants lose less work (shrink instead of die) and wait grows more slowly as MTBF drops.",
+		Notes: "Expected: -M variants are killed several times less often (shrink instead of die) and keep a lower slowdown, paying with longer runtimes and waits.",
 		Panels: []*Sweep{
 			panel("robust-rigid", false, "EASY", "Delayed-LOS"),
 			panel("robust-malleable", true, "EASY-M", "Delayed-LOS-M"),

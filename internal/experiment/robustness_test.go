@@ -54,6 +54,10 @@ func TestValidateRobustness(t *testing.T) {
 			p.MTBF = 40000
 			p.CheckpointInterval = 600
 		}, fault.ErrIntervalWithoutPeriodic},
+		{"cost without policy", func(p *Point) {
+			p.MTBF = 40000
+			p.CheckpointCost = 60
+		}, fault.ErrCostWithoutPolicy},
 		{"periodic without interval", func(p *Point) {
 			p.MTBF = 40000
 			p.CheckpointPolicy = fault.CheckpointPeriodic

@@ -73,6 +73,7 @@ var (
 	ErrNegativeCheckpointCost  = errors.New("fault: checkpoint cost must not be negative")
 	ErrNonPositiveInterval     = errors.New("fault: periodic checkpoint interval must be positive")
 	ErrIntervalWithoutPeriodic = errors.New("fault: checkpoint interval set without a periodic policy")
+	ErrCostWithoutPolicy       = errors.New("fault: checkpoint cost set without a checkpoint policy")
 	ErrDalyNeedsCost           = errors.New("fault: daly checkpointing needs a positive checkpoint cost")
 	ErrDalyNeedsMTBF           = errors.New("fault: daly checkpointing needs a sampling MTBF (scripted traces carry no rate)")
 )
@@ -88,15 +89,18 @@ const (
 	Drop
 )
 
-// Restart selects how much runtime a requeued job carries back.
+// Restart selects how much runtime a requeued job carries back when no
+// CheckpointPolicy is set; a policy supersedes it. Either way the victim
+// resumes from its restart point (job.Job.CkptAt).
 type Restart uint8
 
 const (
-	// FullRuntime restarts the job from scratch: no work survives the
-	// kill, the resubmitted job runs its original runtime again.
+	// FullRuntime leaves the restart point at dispatch: no work survives
+	// the kill, the resubmitted job runs its current runtime again.
 	FullRuntime Restart = iota
-	// RemainingRuntime models checkpointed jobs: the resubmitted job
-	// needs only the work it had not yet completed when killed.
+	// RemainingRuntime is a free checkpoint at the kill instant: the
+	// resubmitted job needs only the work it had not yet completed, and
+	// none of its work is lost.
 	RemainingRuntime
 )
 
@@ -136,14 +140,15 @@ func (p RetryPolicy) Validate() error {
 // CheckpointPolicy selects when running batch jobs checkpoint their
 // progress. A checkpoint costs CheckpointCost sim seconds of the job's
 // own occupancy (the job runs that much longer) and moves the job's
-// restart point forward: a later kill loses only the work done since the
-// last checkpoint plus one restart charge, instead of the FullRuntime /
-// RemainingRuntime binary of RetryPolicy.Restart.
+// restart point (job.Job.CkptAt) forward: a later kill loses only the
+// work done since the last checkpoint plus one restart charge. Any policy
+// other than CheckpointNone supersedes RetryPolicy.Restart.
 type CheckpointPolicy uint8
 
 const (
-	// CheckpointNone is the exact pre-checkpoint behaviour: kills fall
-	// back to RetryPolicy.Restart and no cost is ever charged.
+	// CheckpointNone takes no paid checkpoints: RetryPolicy.Restart
+	// decides the restart point and no cost is ever charged (a nonzero
+	// cost is rejected with ErrCostWithoutPolicy).
 	CheckpointNone CheckpointPolicy = iota
 	// CheckpointPeriodic checkpoints every CheckpointInterval seconds of
 	// a job's run (the interval restarts after each checkpoint's cost).
@@ -211,6 +216,9 @@ func ValidateCheckpoint(policy CheckpointPolicy, interval, cost int64, mtbf floa
 	}
 	if cost < 0 {
 		return fmt.Errorf("%w: %d", ErrNegativeCheckpointCost, cost)
+	}
+	if policy == CheckpointNone && cost != 0 {
+		return fmt.Errorf("%w: cost %d", ErrCostWithoutPolicy, cost)
 	}
 	if policy == CheckpointPeriodic {
 		if interval <= 0 {

@@ -276,6 +276,8 @@ func TestValidateCheckpoint(t *testing.T) {
 		{"periodic negative interval", CheckpointPeriodic, -5, 30, 0, ErrNonPositiveInterval},
 		{"interval without periodic", CheckpointNone, 600, 0, 0, ErrIntervalWithoutPeriodic},
 		{"interval with daly", CheckpointDaly, 600, 30, 40000, ErrIntervalWithoutPeriodic},
+		{"cost without policy", CheckpointNone, 0, 60, 0, ErrCostWithoutPolicy},
+		{"negative cost without policy", CheckpointNone, 0, -1, 0, ErrNegativeCheckpointCost},
 		{"daly zero cost", CheckpointDaly, 0, 0, 40000, ErrDalyNeedsCost},
 		{"daly no mtbf", CheckpointDaly, 0, 30, 0, ErrDalyNeedsMTBF},
 		{"daly NaN mtbf", CheckpointDaly, 0, 30, math.NaN(), ErrDalyNeedsMTBF},

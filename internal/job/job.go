@@ -109,10 +109,15 @@ type Job struct {
 	MinProcs int
 	MaxProcs int
 
-	// CkptAt is the absolute time of this attempt's last checkpoint;
-	// equals StartTime while none has been taken. Meaningful only while
-	// Running under an engine checkpoint policy — a kill restarts the job
-	// from here instead of from the Restart binary.
+	// CkptAt is the job's restart point: the absolute time of this
+	// attempt's last checkpoint, equal to StartTime while none has been
+	// taken. Dispatch sets it, and so does every checkpoint the engine's
+	// policy takes (periodic, daly, on-resize); without a policy, a
+	// RemainingRuntime kill takes a free checkpoint at the kill instant.
+	// A requeued victim resumes from here: it loses only the work done
+	// since CkptAt, and its resubmission carries the residual runtime from
+	// CkptAt (plus one restart charge when CkptAt > StartTime). Meaningful
+	// only while Running.
 	CkptAt int64
 
 	State     State

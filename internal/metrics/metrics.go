@@ -212,10 +212,8 @@ func (c *Collector) JobFinished(j *job.Job, t int64) {
 // time t: its processors free up, the work completed since lostFrom is
 // lost, and it either re-enters the waiting queue later (requeued — a
 // fresh JobArrived will fire at its resubmission) or leaves the system.
-// Without checkpointing lostFrom is the job's start time (everything is
-// lost); under a checkpoint policy the engine passes the last checkpoint
-// instant for requeued kills, so LostWorkSeconds decomposes exactly into
-// work-since-checkpoint.
+// The engine passes the job's restart point (job.Job.CkptAt) for requeued
+// kills and its start time for dropped ones, which never come back.
 func (c *Collector) JobKilled(j *job.Job, t int64, requeued bool, lostFrom int64) {
 	c.integrate(t)
 	c.busy -= j.Size
@@ -501,8 +499,11 @@ type Summary struct {
 	// configured). KilledJobs counts kills (a job killed twice counts
 	// twice); RetriedJobs of those kills were requeued, DroppedJobs left
 	// the system. LostWorkSeconds is the processor-seconds of completed
-	// work the kills destroyed; DownProcSeconds integrates out-of-service
-	// capacity over the measurement window.
+	// work the kills destroyed: for a requeued kill, the work since the
+	// victim's restart point (job.Job.CkptAt; zero under RemainingRuntime
+	// without a checkpoint policy); for a dropped one, its whole attempt.
+	// DownProcSeconds integrates out-of-service capacity over the
+	// measurement window.
 	KilledJobs      int
 	RetriedJobs     int
 	DroppedJobs     int
@@ -512,11 +513,9 @@ type Summary struct {
 	// Checkpoint accounting (all zero when the checkpoint policy is none).
 	// CheckpointsTaken counts checkpoints across all running jobs;
 	// CheckpointOverheadSeconds is the total cost charged for them, in
-	// processor-seconds (cost x job size per checkpoint). Under a
-	// checkpoint policy LostWorkSeconds shrinks to work-since-checkpoint
-	// for requeued kills, so lost work and checkpoint overhead together
-	// decompose exactly what the fault pipeline cost the machine, in the
-	// same processor-second currency.
+	// processor-seconds (cost x job size per checkpoint). Lost work and
+	// checkpoint overhead together decompose exactly what the fault
+	// pipeline cost the machine, in the same processor-second currency.
 	CheckpointsTaken          int
 	CheckpointOverheadSeconds float64
 
