@@ -40,15 +40,18 @@ bench-gate:
 	$(GO) run ./cmd/benchgate
 
 # Short fuzz pass over the trace parsers, the DP packing kernels, the
-# persistent capacity profile, and the indexed machine differential.
+# persistent capacity profile, the fault-trace parser, the indexed machine
+# differential, and interleaved malleable operations (CI's fuzz smoke runs
+# this target). -fuzz is a regexp that must match exactly one target, hence
+# the anchors.
 fuzz:
-	$(GO) test -run=Fuzz -fuzz=FuzzParseLine -fuzztime=10s ./internal/cwf
-	$(GO) test -run=Fuzz -fuzz=FuzzParse -fuzztime=10s ./internal/cwf
-	$(GO) test -run=Fuzz -fuzz=FuzzDPEquivalence -fuzztime=10s ./internal/core
-	$(GO) test -run=Fuzz -fuzz=FuzzProfileOps -fuzztime=10s ./internal/sched
-	$(GO) test -run=Fuzz -fuzz=FuzzFaultTrace -fuzztime=10s ./internal/fault
-	$(GO) test -run=Fuzz -fuzz=FuzzMachineIndexed -fuzztime=10s ./internal/machine
-	$(GO) test -run=Fuzz -fuzz=FuzzMalleableOps -fuzztime=10s ./internal/engine
+	$(GO) test -run=NONE -fuzz='^FuzzParseLine$$' -fuzztime=10s ./internal/cwf
+	$(GO) test -run=NONE -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/cwf
+	$(GO) test -run=NONE -fuzz='^FuzzDPEquivalence$$' -fuzztime=10s ./internal/core
+	$(GO) test -run=NONE -fuzz='^FuzzProfileOps$$' -fuzztime=10s ./internal/sched
+	$(GO) test -run=NONE -fuzz='^FuzzFaultTrace$$' -fuzztime=10s ./internal/fault
+	$(GO) test -run=NONE -fuzz='^FuzzMachineIndexed$$' -fuzztime=10s ./internal/machine
+	$(GO) test -run=NONE -fuzz='^FuzzMalleableOps$$' -fuzztime=10s ./internal/engine
 
 # Scale-out smoke: the sharded-dispatch determinism bar (every routing
 # policy x 1/2/4/8 workers), the routing/exact-merge suite, the epoch

@@ -137,16 +137,13 @@ func (cfg Config) router() (Router, error) {
 
 // clusterConfig is cluster c's engine configuration: the template with its
 // own scheduler instance and validation skipped (Run validated the whole
-// workload). Multi-cluster merges need the per-job sample vectors for exact
-// global order statistics; a single cluster's summary already is the exact
-// global view, so it skips the export cost. Each cluster draws an
-// independent fault stream from a seed offset by its index, so the same
-// global seed fails the same groups of the same clusters on every run.
+// workload). Each cluster draws an independent fault stream from a seed
+// offset by its index, so the same global seed fails the same groups of the
+// same clusters on every run.
 func (cfg Config) clusterConfig(c int) engine.Config {
 	ecfg := cfg.Engine
 	ecfg.Scheduler = cfg.NewScheduler()
 	ecfg.Prevalidated = true
-	ecfg.ExportSamples = cfg.Clusters > 1
 	if cfg.Engine.Faults != nil {
 		fc := *cfg.Engine.Faults
 		fc.Seed += int64(c)
@@ -166,21 +163,12 @@ type ClusterResult struct {
 
 // Result is the merged outcome of a sharded run.
 type Result struct {
-	// Merged aggregates the per-cluster summaries into the exact global
-	// view: job counts, the busy-area utilization over the global window
-	// and machine, job-weighted means (wait, runtime, bounded slowdown,
-	// per-cluster slowdown, per-class waits), MaxWait, and the fault/ECC
-	// accounting sums. Multi-cluster runs additionally export per-cluster
-	// sample vectors (engine ExportSamples, costing O(jobs) memory per
-	// cluster) and fill the exact global order statistics: MedianWait and
-	// P95Wait by quickselect over the waits concatenated in cluster-index
-	// order, and the steady-state window/utilization/mean-wait from the
-	// k-way-merged completion instants and per-cluster busy-step
-	// integrals — identical to the values a single global collector would
-	// report for the same per-cluster schedules. Only MaxQueueDepth
-	// remains a per-cluster property (a global maximum needs the sum of
-	// per-cluster depth step functions, which are not exported); read it
-	// from Clusters[i].
+	// Merged is metrics.Merge over the per-cluster summaries and sample
+	// vectors, in cluster order: the global view, with the order
+	// statistics and the steady-state window a single collector would
+	// report for the same per-cluster schedules. With one cluster it is
+	// that cluster's summary. Otherwise MaxQueueDepth stays zero, as a
+	// per-cluster property; read it from Clusters[i].
 	Merged metrics.Summary
 	// ECC sums the command-processor accounting; DroppedECC the commands
 	// dropped by non-ECC configurations.
@@ -452,9 +440,9 @@ func (e *runner) stopPool() {
 	}
 }
 
-// result assembles the merged Result from the drained sessions. A
-// cluster's job count is its routed part in the no-barrier case and its
-// final ownership share under the epoch protocol.
+// result assembles the merged Result from the drained sessions, walking
+// them in cluster order. A cluster's job count is its routed part in the
+// no-barrier case and its final ownership share under the epoch protocol.
 func (e *runner) result() (*Result, error) {
 	res := &Result{
 		Clusters: make([]ClusterResult, len(e.sessions)),
@@ -468,6 +456,8 @@ func (e *runner) result() (*Result, error) {
 	for _, c := range e.owner {
 		res.Clusters[c].Jobs++
 	}
+	sums := make([]metrics.Summary, len(e.sessions))
+	samples := make([]*metrics.Samples, len(e.sessions))
 	for c, s := range e.sessions {
 		r, err := s.Result()
 		if err != nil {
@@ -475,203 +465,12 @@ func (e *runner) result() (*Result, error) {
 		}
 		res.Clusters[c].Cluster = c
 		res.Clusters[c].Result = r
-		res.ECC = addECC(res.ECC, r.ECC)
+		res.ECC.Add(r.ECC)
 		res.DroppedECC += r.DroppedECC
 		res.Events += r.Events
 		res.Cycles += r.Cycles
+		sums[c], samples[c] = r.Summary, r.Samples
 	}
-	res.Merged = mergeSummaries(res.Clusters, e.cfg.Engine.M)
+	res.Merged = metrics.Merge(sums, samples)
 	return res, nil
-}
-
-// mergeSummaries combines per-cluster summaries into the global view,
-// walking clusters in index order so every float accumulates
-// deterministically. See Result.Merged for the field-by-field semantics.
-func mergeSummaries(clusters []ClusterResult, clusterM int) metrics.Summary {
-	if len(clusters) == 1 {
-		// One cluster: its summary already is the exact global view,
-		// order statistics and queue depth included.
-		return clusters[0].Result.Summary
-	}
-	var g metrics.Summary
-	g.MachineSize = clusterM * len(clusters)
-	first := true
-	// Busy processor-seconds reconstruct exactly from each cluster's
-	// utilization: area_i = util_i × span_i × M_i.
-	var area, waitSum, runSum, slowSum, boundedSum, batchSum, dedSum, onTimeSum float64
-	var batchJobs int
-	for _, cr := range clusters {
-		s := cr.Result.Summary
-		if s.Jobs == 0 && s.JobsStarted == 0 {
-			continue
-		}
-		if first || s.WindowStart < g.WindowStart {
-			g.WindowStart = s.WindowStart
-		}
-		if first || s.WindowEnd > g.WindowEnd {
-			g.WindowEnd = s.WindowEnd
-		}
-		first = false
-		n := float64(s.Jobs)
-		g.Jobs += s.Jobs
-		g.JobsStarted += s.JobsStarted
-		g.JobsFinished += s.JobsFinished
-		g.DedicatedJobs += s.DedicatedJobs
-		batchJobs += s.Jobs - s.DedicatedJobs
-		area += s.Utilization * float64(s.WindowEnd-s.WindowStart) * float64(s.MachineSize)
-		waitSum += s.MeanWait * n
-		runSum += s.MeanRun * n
-		// Slowdown merges as the job-weighted mean of the per-cluster
-		// aggregate slowdowns. Recomputing (MeanWait+MeanRun)/MeanRun from
-		// the global means disagrees with that job-weighted view whenever
-		// cluster MeanRun differs (the ratio of averages is not the
-		// average of ratios); the weighted sum keeps the single-cluster
-		// case exact and treats Slowdown like every other mean.
-		slowSum += s.Slowdown * n
-		boundedSum += s.MeanBoundedSlow * n
-		batchSum += s.MeanBatchWait * float64(s.Jobs-s.DedicatedJobs)
-		dedSum += s.MeanDedWait * float64(s.DedicatedJobs)
-		onTimeSum += s.DedicatedOnTime * float64(s.DedicatedJobs)
-		if s.MaxWait > g.MaxWait {
-			g.MaxWait = s.MaxWait
-		}
-		g.KilledJobs += s.KilledJobs
-		g.RetriedJobs += s.RetriedJobs
-		g.DroppedJobs += s.DroppedJobs
-		g.LostWorkSeconds += s.LostWorkSeconds
-		g.DownProcSeconds += s.DownProcSeconds
-	}
-	if span := float64(g.WindowEnd - g.WindowStart); span > 0 {
-		g.Utilization = area / (span * float64(g.MachineSize))
-	}
-	if g.Jobs > 0 {
-		n := float64(g.Jobs)
-		g.MeanWait = waitSum / n
-		g.MeanRun = runSum / n
-		g.Slowdown = slowSum / n
-		g.MeanBoundedSlow = boundedSum / n
-	}
-	if batchJobs > 0 {
-		g.MeanBatchWait = batchSum / float64(batchJobs)
-	}
-	if g.DedicatedJobs > 0 {
-		g.MeanDedWait = dedSum / float64(g.DedicatedJobs)
-		g.DedicatedOnTime = onTimeSum / float64(g.DedicatedJobs)
-	}
-	mergeOrderStats(&g, clusters)
-	return g
-}
-
-// mergeOrderStats fills the exact global order statistics from the
-// per-cluster sample exports: MedianWait/P95Wait by quickselect over the
-// waits concatenated in cluster-index order (exactly the value a sort of
-// the concatenation would index, per the quickselect contract), and the
-// steady-state window/utilization/mean-wait from the k-way-merged
-// completion instants and busy-step window integrals — the same formulas
-// a single global collector applies, evaluated in O(total) time with
-// cluster-index-order accumulation. Clusters that ran without
-// ExportSamples leave the order-stat fields zero (the pre-export
-// behaviour).
-func mergeOrderStats(g *metrics.Summary, clusters []ClusterResult) {
-	total := 0
-	for _, cr := range clusters {
-		r := cr.Result
-		if r.Samples == nil {
-			if r.Summary.Jobs > 0 {
-				return
-			}
-			continue
-		}
-		total += len(r.Samples.Waits)
-	}
-	if total == 0 {
-		return
-	}
-	waits := make([]float64, 0, total)
-	for _, cr := range clusters {
-		r := cr.Result
-		if r.Samples != nil {
-			waits = append(waits, r.Samples.Waits...)
-		}
-	}
-	n := len(waits)
-	g.MedianWait = metrics.KthSmallest(waits, int(0.5*float64(n-1)))
-	g.P95Wait = metrics.KthSmallest(waits, int(0.95*float64(n-1)))
-
-	// Steady state mirrors the collector: fewer than 10 completions keep
-	// the full window with zeroed measures; the window is the central
-	// [10th, 90th]-percentile span of the global completion instants.
-	if n < 10 {
-		g.SteadyWindow = [2]int64{g.WindowStart, g.WindowEnd}
-		return
-	}
-	finishes := mergeFinishes(clusters, total)
-	t0 := finishes[n/10]
-	t1 := finishes[n-1-n/10]
-	g.SteadyWindow = [2]int64{t0, t1}
-	if t1 <= t0 {
-		return
-	}
-	var steadyArea, steadyWait float64
-	var steadyJobs int
-	for _, cr := range clusters {
-		r := cr.Result
-		if r.Samples == nil {
-			continue
-		}
-		steadyArea += metrics.WindowArea(r.Samples.BusySteps, t0, t1)
-		for _, p := range r.Samples.PerJob {
-			if p.Arrival >= t0 && p.Arrival <= t1 {
-				steadyWait += p.Wait
-				steadyJobs++
-			}
-		}
-	}
-	g.SteadyUtilization = steadyArea / (float64(t1-t0) * float64(g.MachineSize))
-	if steadyJobs > 0 {
-		g.SteadyMeanWait = steadyWait / float64(steadyJobs)
-	}
-}
-
-// mergeFinishes streams the per-cluster completion instants into one
-// globally sorted vector. Each cluster's PerJob series is already in
-// completion order (finish times non-decreasing), so a k-way merge over
-// the cluster heads — lowest cluster index winning ties — produces the
-// sorted global sequence in O(total × clusters) with no sort.
-func mergeFinishes(clusters []ClusterResult, total int) []int64 {
-	heads := make([]int, len(clusters))
-	merged := make([]int64, 0, total)
-	for {
-		best := -1
-		var bt int64
-		for c, cr := range clusters {
-			r := cr.Result
-			if r.Samples == nil || heads[c] >= len(r.Samples.PerJob) {
-				continue
-			}
-			if t := r.Samples.PerJob[heads[c]].Finish; best < 0 || t < bt {
-				best, bt = c, t
-			}
-		}
-		if best < 0 {
-			return merged
-		}
-		merged = append(merged, bt)
-		heads[best]++
-	}
-}
-
-func addECC(a, b ecc.Stats) ecc.Stats {
-	a.Total += b.Total
-	a.Applied += b.Applied
-	a.Clamped += b.Clamped
-	a.IgnoredFinished += b.IgnoredFinished
-	a.IgnoredUnknown += b.IgnoredUnknown
-	a.IgnoredLimit += b.IgnoredLimit
-	a.IgnoredCapacity += b.IgnoredCapacity
-	a.ExtendedSeconds += b.ExtendedSeconds
-	a.ReducedSeconds += b.ReducedSeconds
-	a.GrownProcs += b.GrownProcs
-	a.ShrunkProcs += b.ShrunkProcs
-	return a
 }

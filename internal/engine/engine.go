@@ -83,13 +83,6 @@ type Config struct {
 	// redistribution, checkpoint/restart of the reshaped layout). Only
 	// meaningful with Malleable.
 	ResizeOverhead int64
-	// ExportSamples attaches the run's per-job sample vectors (waits,
-	// bounded slowdowns, per-job arrival/finish points, busy steps) to
-	// Result.Samples. Off by default: the vectors cost O(jobs) extra
-	// memory per run and single-run paths never read them. The sharded
-	// dispatcher enables it per cluster to compute exact global order
-	// statistics in the merge.
-	ExportSamples bool
 }
 
 // validate rejects unusable machine geometry up front, with the Unit
@@ -162,9 +155,10 @@ type Result struct {
 	// any instant (free processors beyond the longest contiguous run;
 	// always 0 on scatter machines).
 	PeakFragmentedWaste int
-	// Samples holds the per-job sample vectors when Config.ExportSamples
-	// is set, nil otherwise. See metrics.Samples for the vectors and their
-	// aliasing contract.
+	// Samples holds the per-job sample vectors behind Summary, which
+	// metrics.Merge needs to combine several runs exactly. They alias the
+	// session's collector: read-only, and valid only until the session
+	// advances or admits work again.
 	Samples *metrics.Samples
 }
 
@@ -366,11 +360,6 @@ func New(cfg Config) (*Session, error) {
 		// was armed before. Load re-arms, so the double call is harmless.
 		s.st.ResetDeltas()
 	}
-	if cfg.ExportSamples {
-		// Same reasoning: Load rebuilds the collector and re-arms it, but an
-		// Inject-fed session keeps this one.
-		s.collector.RetainSamples()
-	}
 	if cfg.Malleable {
 		if m, ok := cfg.Scheduler.(sched.Malleable); ok {
 			s.malleable = m
@@ -435,9 +424,6 @@ func (s *Session) Load(w *cwf.Workload) error {
 	}
 
 	s.collector = metrics.NewCollectorSized(s.cfg.M, len(w.Jobs))
-	if s.cfg.ExportSamples {
-		s.collector.RetainSamples()
-	}
 	maxID := 0
 	for _, j := range w.Jobs {
 		if j.ID > maxID {
@@ -662,12 +648,10 @@ func (s *Session) Result() (*Result, error) {
 		Migrations:           s.mach.Migrations(),
 		FragmentedRejections: s.fragRejects,
 		PeakFragmentedWaste:  s.peakWaste,
+		Samples:              s.collector.Samples(),
 	}
 	if s.proc != nil {
 		res.ECC = s.proc.Stats
-	}
-	if s.cfg.ExportSamples {
-		res.Samples = s.collector.ExportSamples()
 	}
 	return res, nil
 }

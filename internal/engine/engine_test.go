@@ -603,3 +603,47 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		t.Error("buried rigid job not caught")
 	}
 }
+
+// TestResultSamplesAliasCollector: every result carries the per-job sample
+// vectors behind its Summary, one point per completion, and Result hands
+// them out without a copy — two results share one backing array, and the
+// allocation count does not grow with the number of jobs.
+func TestResultSamplesAliasCollector(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, n := range []int{50, 500} {
+		var jobs []*job.Job
+		for i := 0; i < n; i++ {
+			jobs = append(jobs, batch(i+1, 32*(1+i%4), 100, int64(i*10)))
+		}
+		s, err := New(Config{M: 320, Unit: 32, Scheduler: sched.FCFS{}, Paranoid: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Load(wl(jobs...)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		r1, _ := s.Result()
+		r2, _ := s.Result()
+		if r1.Samples == nil {
+			t.Fatalf("n=%d: result has no samples", n)
+		}
+		if got := len(r1.Samples.PerJob); got != r1.Summary.JobsFinished || got != n {
+			t.Fatalf("n=%d: %d sample points for %d finished jobs", n, got, r1.Summary.JobsFinished)
+		}
+		if &r1.Samples.PerJob[0] != &r2.Samples.PerJob[0] || &r1.Samples.BusySteps[0] != &r2.Samples.BusySteps[0] {
+			t.Fatalf("n=%d: two results hold separate copies of the samples", n)
+		}
+		allocs[n] = testing.AllocsPerRun(20, func() {
+			if _, err := s.Result(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[50] != allocs[500] {
+		t.Fatalf("Result allocates %v times for 50 jobs but %v for 500: samples are copied per job",
+			allocs[50], allocs[500])
+	}
+}

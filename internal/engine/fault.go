@@ -268,9 +268,9 @@ func (s *Session) kill(j *job.Job, now int64) {
 		restart = s.cfg.Faults.CheckpointCost
 	}
 	eff := j.EffectiveRuntime()
-	j.Dur = max64(j.EndTime-j.CkptAt, 1) + restart
+	j.Dur = max(j.EndTime-j.CkptAt, 1) + restart
 	if j.Actual > 0 {
-		j.Actual = max64(eff-(j.CkptAt-j.StartTime), 1) + restart
+		j.Actual = max(eff-(j.CkptAt-j.StartTime), 1) + restart
 	}
 	j.Retries++
 	j.Arrival = now + p.Backoff
@@ -358,11 +358,4 @@ func (s *Session) checkpoint(j *job.Job, now int64) {
 	j.CkptAt = now
 	s.collector.CheckpointTaken(c, j.Size)
 	s.ckpt[j.ID] = s.eng.AtArg(now+c+s.ckptIntervalFor(j), s.ckptH, j)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

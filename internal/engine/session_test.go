@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -442,6 +443,73 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(orig, want) {
 		t.Errorf("snapshotting perturbed the live session")
+	}
+}
+
+// TestRestoreSnapshotWithWaitSeries: version-4 snapshots written before
+// the collector stopped keeping a separate wait series carry it as
+// "metrics.waits". The decoder ignores it — every wait is also in the
+// per-job points — and the restored run reports the uninterrupted Summary.
+func TestRestoreSnapshotWithWaitSeries(t *testing.T) {
+	w := sessionWorkload(t, 120, 7)
+	cfg := func() Config {
+		return Config{M: 320, Unit: 32, Scheduler: core.NewDelayedLOS(5), ProcessECC: true}
+	}
+	want, err := Run(w, cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Load(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntil(want.Summary.WindowEnd / 2); err != nil {
+		t.Fatal(err)
+	}
+	sn, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sn.Metrics.PerJob) == 0 {
+		t.Fatal("no completions before the snapshot; the scenario exercises nothing")
+	}
+	var buf bytes.Buffer
+	if err := sn.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	waits := make([]string, len(sn.Metrics.PerJob))
+	for i, p := range sn.Metrics.PerJob {
+		waits[i] = strconv.FormatFloat(p.Wait, 'g', -1, 64)
+	}
+	const key = `"metrics":{`
+	enc := buf.String()
+	if !strings.Contains(enc, key) {
+		t.Fatalf("encoding has no %s", key)
+	}
+	enc = strings.Replace(enc, key, key+`"waits":[`+strings.Join(waits, ",")+`],`, 1)
+	decoded, err := DecodeSnapshot(strings.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Restore(decoded); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Summary != want.Summary {
+		t.Errorf("restored summary diverged:\n%+v\n%+v", got.Summary, want.Summary)
 	}
 }
 

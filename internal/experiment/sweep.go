@@ -411,7 +411,7 @@ func (s *Sweep) Run(workers int) (*Result, error) {
 			for si := 0; si < nS; si++ {
 				out := slot(ai, pi, si)
 				sums = append(sums, out.sum)
-				eccStats = addECC(eccStats, out.ecc)
+				eccStats.Add(out.ecc)
 				loadSum += cache.at(pi, si).load
 				events += out.events
 				cycles += out.cycles
@@ -428,19 +428,4 @@ func (s *Sweep) Run(workers int) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-func addECC(a, b ecc.Stats) ecc.Stats {
-	a.Total += b.Total
-	a.Applied += b.Applied
-	a.Clamped += b.Clamped
-	a.IgnoredFinished += b.IgnoredFinished
-	a.IgnoredUnknown += b.IgnoredUnknown
-	a.IgnoredLimit += b.IgnoredLimit
-	a.IgnoredCapacity += b.IgnoredCapacity
-	a.ExtendedSeconds += b.ExtendedSeconds
-	a.ReducedSeconds += b.ReducedSeconds
-	a.GrownProcs += b.GrownProcs
-	a.ShrunkProcs += b.ShrunkProcs
-	return a
 }

@@ -2,41 +2,50 @@ package fault
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
 
+// fuzzGroups is the group count of the machine FuzzFaultTrace checks
+// traces against. It is fixed, as the engine sizes its machine from M/Unit
+// and never from the trace: a trace naming a huge group must be rejected,
+// not make the checks allocate per named group.
+const fuzzGroups = 1024
+
 // FuzzFaultTrace feeds arbitrary text through the scripted-trace parser.
 // Accepted traces must survive a Write/Parse round trip unchanged, pass
-// Validate for a machine wide enough to hold every named group, and keep
-// Lint/DownWindows panic-free on hostile group sets.
+// Validate when every named group fits the fuzz machine and fail it with
+// ErrGroupOutOfRange otherwise, and keep Lint/DownWindows panic-free on
+// hostile group sets.
 func FuzzFaultTrace(f *testing.F) {
 	f.Add("100 fail 0,3\n250 repair 3\n")
 	f.Add("# comment\n\n0 fail 0\n0 repair 0\n")
 	f.Add("10 explode 1\n")
 	f.Add("9223372036854775807 fail 1\n")
 	f.Add("5 fail 0,0,0\n")
+	f.Add("922337203 fail 18076854775\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		tr, err := Parse(strings.NewReader(in))
 		if err != nil {
 			return
 		}
-		maxG := 0
+		fits := true
 		for _, e := range tr.Events {
 			for _, g := range e.Groups {
-				if g >= maxG {
-					maxG = g + 1
-				}
+				fits = fits && g < fuzzGroups
 			}
 		}
-		if maxG == 0 {
-			maxG = 1
+		err = tr.Validate(fuzzGroups)
+		if fits && err != nil {
+			t.Fatalf("parsed trace fails Validate(%d): %v\ninput: %q", fuzzGroups, err, in)
 		}
-		if err := tr.Validate(maxG); err != nil {
-			t.Fatalf("parsed trace fails Validate(%d): %v\ninput: %q", maxG, err, in)
+		if !fits && !errors.Is(err, ErrGroupOutOfRange) {
+			t.Fatalf("trace naming a group past %d: Validate gives %v, want ErrGroupOutOfRange\ninput: %q",
+				fuzzGroups, err, in)
 		}
-		_ = tr.Lint(maxG)
-		_ = tr.DownWindows(maxG, 1<<40)
+		_ = tr.Lint(fuzzGroups)
+		_ = tr.DownWindows(fuzzGroups, 1<<40)
 
 		var buf bytes.Buffer
 		if err := Write(&buf, tr); err != nil {

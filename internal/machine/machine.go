@@ -738,7 +738,7 @@ func (m *Machine) FailGroups(gs []int) (failed int, victims []int, err error) {
 		if id := m.groups[g]; id != -1 {
 			m.health[g] = Draining
 			m.drainingProcs += m.unit
-			if !containsInt(victims, id) {
+			if !slices.Contains(victims, id) {
 				victims = append(victims, id)
 			}
 			continue
@@ -779,15 +779,6 @@ func (m *Machine) RepairGroups(gs []int) (repaired int, err error) {
 		}
 	}
 	return repaired, nil
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Held returns the size of jobID's current allocation (0 if none).

@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"elastisched/internal/job"
 )
@@ -24,19 +25,9 @@ type Collector struct {
 	haveT0   bool
 	t0, tEnd int64
 
-	// waits is kept as a full series: the summary reports order statistics
-	// (median, p95, max) that need every sample. The remaining per-job
-	// measures only ever feed arithmetic means, so they accumulate as
-	// streaming sums — same accumulation order as the old per-job slices,
-	// so the float results are bit-identical.
-	waits []float64
-	// retainSlow makes JobFinished keep the per-job bounded-slowdown
-	// samples next to the streaming sum, so ExportSamples can hand out
-	// complete per-job vectors (the sharded merge needs them for exact
-	// global order statistics). Off by default: it costs one float64 per
-	// job that single-run paths never read.
-	retainSlow  bool
-	slows       []float64
+	// The per-job measures other than the wait only ever feed arithmetic
+	// means, so they accumulate as streaming sums; the waits live in
+	// perJob, which the order statistics need in full.
 	runSum      float64
 	slowSum     float64
 	batchSum    float64
@@ -75,20 +66,11 @@ type Collector struct {
 
 	// busySteps records the busy-count step function (one entry per change)
 	// so steady-state windows can be evaluated after the fact.
-	busySteps []busyStep
-	// perJob records (arrival, finish, wait) per completed job for windowed
-	// wait statistics.
-	perJob []jobPoint
-}
-
-type busyStep struct {
-	t    int64
-	busy int
-}
-
-type jobPoint struct {
-	arrival, finish int64
-	wait            float64
+	busySteps []BusyStep
+	// perJob records (arrival, finish, wait) per completed job, in
+	// completion order: the wait series of the order statistics and the
+	// completion instants of the steady-state window.
+	perJob []JobPoint
 }
 
 // NewCollector returns a collector for a machine of m processors.
@@ -101,17 +83,10 @@ func NewCollector(m int) *Collector {
 func NewCollectorSized(m, n int) *Collector {
 	return &Collector{
 		m:         m,
-		waits:     make([]float64, 0, n),
-		perJob:    make([]jobPoint, 0, n),
-		busySteps: make([]busyStep, 0, 2*n),
+		perJob:    make([]JobPoint, 0, n),
+		busySteps: make([]BusyStep, 0, 2*n),
 	}
 }
-
-// RetainSamples makes the collector keep the per-job bounded-slowdown
-// series so ExportSamples can return complete per-job vectors. It must be
-// enabled before the first completion; engine sessions arm it at Load and
-// Restore when the configuration asks for sample export.
-func (c *Collector) RetainSamples() { c.retainSlow = true }
 
 // integrate advances the busy-area and down-capacity integrals to time t.
 func (c *Collector) integrate(t int64) {
@@ -128,11 +103,11 @@ func (c *Collector) integrate(t int64) {
 // noteBusy appends to the busy step function (coalescing same-instant
 // changes).
 func (c *Collector) noteBusy(t int64) {
-	if n := len(c.busySteps); n > 0 && c.busySteps[n-1].t == t {
-		c.busySteps[n-1].busy = c.busy
+	if n := len(c.busySteps); n > 0 && c.busySteps[n-1].T == t {
+		c.busySteps[n-1].Busy = c.busy
 		return
 	}
-	c.busySteps = append(c.busySteps, busyStep{t, c.busy})
+	c.busySteps = append(c.busySteps, BusyStep{T: t, Busy: c.busy})
 }
 
 // JobArrived opens the measurement window at the first arrival and tracks
@@ -186,16 +161,12 @@ func (c *Collector) JobFinished(j *job.Job, t int64) {
 	}
 
 	w := float64(j.Wait())
-	c.perJob = append(c.perJob, jobPoint{arrival: j.Arrival, finish: t, wait: w})
+	c.perJob = append(c.perJob, JobPoint{Arrival: j.Arrival, Finish: t, Wait: w})
 	r := float64(j.RunTime())
-	c.waits = append(c.waits, w)
 	c.runSum += r
 	// Per-job bounded slowdown with the conventional 10s floor.
 	den := math.Max(r, 10)
-	c.slowSum += (w + math.Max(r, 10)) / den
-	if c.retainSlow {
-		c.slows = append(c.slows, (w+math.Max(r, 10))/den)
-	}
+	c.slowSum += (w + den) / den
 	if j.Class == job.Dedicated {
 		c.dedTotal++
 		c.dedSum += w
@@ -271,94 +242,39 @@ func (c *Collector) ProcsShrunk(procSeconds float64) { c.shrunkProcSecs += procS
 // work-conserving resize.
 func (c *Collector) ResizeOverheadApplied(seconds int64) { c.reconfigSecs += float64(seconds) }
 
-// BusyStep is one exported entry of the busy-count step function.
+// BusyStep is one entry of the busy-count step function: from T until the
+// next entry, Busy processors are busy.
 type BusyStep struct {
 	T    int64 `json:"t"`
 	Busy int   `json:"busy"`
 }
 
-// JobPoint is one exported per-job record (arrival, finish, wait).
+// JobPoint is one completed job's record (arrival, finish, wait).
 type JobPoint struct {
 	Arrival int64   `json:"arrival"`
 	Finish  int64   `json:"finish"`
 	Wait    float64 `json:"wait"`
 }
 
-// Samples are the per-job sample vectors of one run, exported for exact
-// cross-run aggregation: the sharded merge concatenates per-cluster waits
-// (quickselect gives the exact global median/p95), k-way-merges the
-// completion instants in PerJob (global steady-state window), and
-// integrates BusySteps over that window (global steady utilization). All
-// vectors are in completion order — the collector's accumulation order —
-// so PerJob finish times are non-decreasing. Memory cost: O(jobs) floats
-// per vector plus O(events) busy steps, which is why the export sits
-// behind a flag (engine Config.ExportSamples).
+// Samples are the per-job sample vectors of one run: what Merge needs
+// beyond the Summary to compute exact order statistics and the steady-state
+// window across several runs. Both vectors are in the collector's
+// accumulation order; the engine reports completions in time order, so
+// PerJob finish times are non-decreasing, which the steady-state window
+// relies on.
 type Samples struct {
-	// Waits holds one waiting-time sample per completed job.
-	Waits []float64 `json:"waits,omitempty"`
-	// BoundedSlow holds the per-job bounded slowdowns ((wait+run)/run with
-	// the conventional 10s floor); empty unless RetainSamples was armed.
-	BoundedSlow []float64 `json:"bounded_slow,omitempty"`
 	// PerJob holds (arrival, finish, wait) per completed job.
 	PerJob []JobPoint `json:"per_job,omitempty"`
 	// BusySteps is the busy-processor step function (one entry per change).
 	BusySteps []BusyStep `json:"busy_steps,omitempty"`
 }
 
-// ExportSamples returns the collector's per-job sample vectors. Waits and
-// BoundedSlow alias live collector state (treat them as read-only); PerJob
-// and BusySteps are copies (the internal representations are unexported).
-// Summary never reorders the aliased slices, so the export stays valid
-// across further accounting and a final Summary call.
-func (c *Collector) ExportSamples() *Samples {
-	s := &Samples{
-		Waits:       c.waits,
-		BoundedSlow: c.slows,
-		PerJob:      make([]JobPoint, len(c.perJob)),
-		BusySteps:   make([]BusyStep, len(c.busySteps)),
-	}
-	for i, p := range c.perJob {
-		s.PerJob[i] = JobPoint{Arrival: p.arrival, Finish: p.finish, Wait: p.wait}
-	}
-	for i, b := range c.busySteps {
-		s.BusySteps[i] = BusyStep{T: b.t, Busy: b.busy}
-	}
-	return s
+// Samples returns the collector's sample vectors without copying them:
+// treat them as read-only, and as valid only until the next accounting
+// call, which may append to them or rewrite the last busy step.
+func (c *Collector) Samples() *Samples {
+	return &Samples{PerJob: c.perJob, BusySteps: c.busySteps}
 }
-
-// WindowArea integrates an exported busy step function over [t0, t1]: the
-// busy processor-seconds inside the window. It is the exported-samples
-// counterpart of WindowUtilization (same clipping rules), used by the
-// sharded merge to evaluate global steady-state utilization from
-// per-cluster sample exports.
-func WindowArea(steps []BusyStep, t0, t1 int64) float64 {
-	if t1 <= t0 || len(steps) == 0 {
-		return 0
-	}
-	var area float64
-	for i, st := range steps {
-		segStart := st.T
-		segEnd := t1
-		if i+1 < len(steps) && steps[i+1].T < segEnd {
-			segEnd = steps[i+1].T
-		}
-		if segStart < t0 {
-			segStart = t0
-		}
-		if segEnd > segStart {
-			area += float64(st.Busy) * float64(segEnd-segStart)
-		}
-		if i+1 < len(steps) && steps[i+1].T >= t1 {
-			break
-		}
-	}
-	return area
-}
-
-// KthSmallest returns the k-th smallest element (0-based) of xs,
-// reordering xs in place — the exported quickselect the sharded merge
-// applies to concatenated per-cluster samples. See kth for the contract.
-func KthSmallest(xs []float64, k int) float64 { return kth(xs, k) }
 
 // Snapshot is the collector's complete accumulator state, sufficient to
 // resume metering mid-run. The per-job series keep their accumulation
@@ -372,8 +288,6 @@ type Snapshot struct {
 	HaveT0      bool       `json:"have_t0"`
 	T0          int64      `json:"t0"`
 	TEnd        int64      `json:"t_end"`
-	Waits       []float64  `json:"waits,omitempty"`
-	Slows       []float64  `json:"slows,omitempty"`
 	RunSum      float64    `json:"run_sum"`
 	SlowSum     float64    `json:"slow_sum"`
 	BatchSum    float64    `json:"batch_sum"`
@@ -403,11 +317,9 @@ type Snapshot struct {
 
 // Snapshot captures the collector state for NewCollectorFromSnapshot.
 func (c *Collector) Snapshot() Snapshot {
-	s := Snapshot{
+	return Snapshot{
 		M: c.m, Busy: c.busy, LastT: c.lastT, Area: c.area,
 		HaveT0: c.haveT0, T0: c.t0, TEnd: c.tEnd,
-		Waits:  append([]float64(nil), c.waits...),
-		Slows:  append([]float64(nil), c.slows...),
 		RunSum: c.runSum, SlowSum: c.slowSum, BatchSum: c.batchSum, BatchCount: c.batchCount,
 		DedSum: c.dedSum, DedOnTime: c.dedOnTime, DedTotal: c.dedTotal,
 		JobsStarted: c.jobsStarted, JobsDone: c.jobsDone,
@@ -417,23 +329,16 @@ func (c *Collector) Snapshot() Snapshot {
 		Checkpoints: c.checkpoints, CkptCost: c.ckptOverhead,
 		SchedResizes: c.schedResizes, ShrunkProcSecs: c.shrunkProcSecs,
 		ReconfigSecs: c.reconfigSecs,
+		BusySteps:    append([]BusyStep(nil), c.busySteps...),
+		PerJob:       append([]JobPoint(nil), c.perJob...),
 	}
-	for _, b := range c.busySteps {
-		s.BusySteps = append(s.BusySteps, BusyStep{T: b.t, Busy: b.busy})
-	}
-	for _, p := range c.perJob {
-		s.PerJob = append(s.PerJob, JobPoint{Arrival: p.arrival, Finish: p.finish, Wait: p.wait})
-	}
-	return s
 }
 
 // NewCollectorFromSnapshot reconstructs a collector mid-run.
 func NewCollectorFromSnapshot(s Snapshot) *Collector {
-	c := &Collector{
+	return &Collector{
 		m: s.M, busy: s.Busy, lastT: s.LastT, area: s.Area,
 		haveT0: s.HaveT0, t0: s.T0, tEnd: s.TEnd,
-		waits:  append([]float64(nil), s.Waits...),
-		slows:  append([]float64(nil), s.Slows...),
 		runSum: s.RunSum, slowSum: s.SlowSum, batchSum: s.BatchSum, batchCount: s.BatchCount,
 		dedSum: s.DedSum, dedOnTime: s.DedOnTime, dedTotal: s.DedTotal,
 		jobsStarted: s.JobsStarted, jobsDone: s.JobsDone,
@@ -443,14 +348,9 @@ func NewCollectorFromSnapshot(s Snapshot) *Collector {
 		checkpoints: s.Checkpoints, ckptOverhead: s.CkptCost,
 		schedResizes: s.SchedResizes, shrunkProcSecs: s.ShrunkProcSecs,
 		reconfigSecs: s.ReconfigSecs,
+		busySteps:    append([]BusyStep(nil), s.BusySteps...),
+		perJob:       append([]JobPoint(nil), s.PerJob...),
 	}
-	for _, b := range s.BusySteps {
-		c.busySteps = append(c.busySteps, busyStep{t: b.T, busy: b.Busy})
-	}
-	for _, p := range s.PerJob {
-		c.perJob = append(c.perJob, jobPoint{arrival: p.Arrival, finish: p.Finish, wait: p.Wait})
-	}
-	return c
 }
 
 // Summary is the digest of one run.
@@ -559,27 +459,19 @@ func (c *Collector) Summary() Summary {
 	if span > 0 {
 		s.Utilization = c.area / (span * float64(c.m))
 	}
-	s.MeanWait = mean(c.waits)
+	if n := len(c.perJob); n > 0 {
+		var waitSum float64
+		for _, p := range c.perJob {
+			waitSum += p.Wait
+		}
+		s.MeanWait = waitSum / float64(n)
+	}
 	if c.jobsDone > 0 {
 		s.MeanRun = c.runSum / float64(c.jobsDone)
 		s.MeanBoundedSlow = c.slowSum / float64(c.jobsDone)
 	}
 	if s.MeanRun > 0 {
 		s.Slowdown = (s.MeanWait + s.MeanRun) / s.MeanRun
-	}
-	if n := len(c.waits); n > 0 {
-		// Exact order statistics via selection: identical values to sorting
-		// the copy and indexing, at O(n) instead of O(n log n) per statistic.
-		ys := append([]float64(nil), c.waits...)
-		s.MedianWait = kth(ys, int(0.5*float64(n-1)))
-		s.P95Wait = kth(ys, int(0.95*float64(n-1)))
-		mx := c.waits[0]
-		for _, v := range c.waits[1:] {
-			if v > mx {
-				mx = v
-			}
-		}
-		s.MaxWait = mx
 	}
 	if c.batchCount > 0 {
 		s.MeanBatchWait = c.batchSum / float64(c.batchCount)
@@ -590,9 +482,188 @@ func (c *Collector) Summary() Summary {
 	if c.dedTotal > 0 {
 		s.DedicatedOnTime = float64(c.dedOnTime) / float64(c.dedTotal)
 	}
-	s.SteadyWindow, s.SteadyUtilization, s.SteadyMeanWait = c.steadyState()
+	fillOrderStats(&s, []*Samples{{PerJob: c.perJob, BusySteps: c.busySteps}})
 	s.MaxQueueDepth = c.maxQueued
 	return s
+}
+
+// Merge combines the summaries of runs on disjoint machines — the clusters
+// of a sharded run — into the global view; samples[i] must be the sample
+// vectors of the run summarized by sums[i]. Walking the runs in index
+// order keeps every float accumulation deterministic. One run's summary is
+// returned as is. Otherwise the merge sums the job counts, the fault
+// accounting and the machine sizes; spans the window from the earliest
+// first arrival to the latest completion; recomputes Utilization from the
+// runs' busy areas over that window and machine; and takes job-weighted
+// means of the per-run wait, runtime, slowdown, bounded slowdown and
+// per-class waits. MaxWait, MedianWait, P95Wait and the steady-state
+// window, utilization and mean wait follow the collector's own rules over
+// the union of the samples, so they equal what one collector watching
+// every run would report. MaxQueueDepth stays zero: a global maximum needs
+// the sum of the per-run depth step functions, which are not kept.
+func Merge(sums []Summary, samples []*Samples) Summary {
+	if len(sums) == 1 {
+		return sums[0]
+	}
+	var g Summary
+	first := true
+	// Busy processor-seconds reconstruct exactly from each run's
+	// utilization: area_i = util_i × span_i × M_i.
+	var area, waitSum, runSum, slowSum, boundedSum, batchSum, dedSum, onTimeSum float64
+	var batchJobs int
+	for _, s := range sums {
+		g.MachineSize += s.MachineSize
+		if s.Jobs == 0 && s.JobsStarted == 0 {
+			continue
+		}
+		if first || s.WindowStart < g.WindowStart {
+			g.WindowStart = s.WindowStart
+		}
+		if first || s.WindowEnd > g.WindowEnd {
+			g.WindowEnd = s.WindowEnd
+		}
+		first = false
+		n := float64(s.Jobs)
+		g.Jobs += s.Jobs
+		g.JobsStarted += s.JobsStarted
+		g.JobsFinished += s.JobsFinished
+		g.DedicatedJobs += s.DedicatedJobs
+		batchJobs += s.Jobs - s.DedicatedJobs
+		area += s.Utilization * float64(s.WindowEnd-s.WindowStart) * float64(s.MachineSize)
+		waitSum += s.MeanWait * n
+		runSum += s.MeanRun * n
+		// Slowdown merges as the job-weighted mean of the per-run
+		// aggregate slowdowns. Recomputing (MeanWait+MeanRun)/MeanRun from
+		// the global means disagrees with that job-weighted view whenever
+		// the runs' MeanRun differ (the ratio of averages is not the
+		// average of ratios); the weighted sum treats Slowdown like every
+		// other mean.
+		slowSum += s.Slowdown * n
+		boundedSum += s.MeanBoundedSlow * n
+		batchSum += s.MeanBatchWait * float64(s.Jobs-s.DedicatedJobs)
+		dedSum += s.MeanDedWait * float64(s.DedicatedJobs)
+		onTimeSum += s.DedicatedOnTime * float64(s.DedicatedJobs)
+		g.KilledJobs += s.KilledJobs
+		g.RetriedJobs += s.RetriedJobs
+		g.DroppedJobs += s.DroppedJobs
+		g.LostWorkSeconds += s.LostWorkSeconds
+		g.DownProcSeconds += s.DownProcSeconds
+	}
+	if span := float64(g.WindowEnd - g.WindowStart); span > 0 {
+		g.Utilization = area / (span * float64(g.MachineSize))
+	}
+	if g.Jobs > 0 {
+		n := float64(g.Jobs)
+		g.MeanWait = waitSum / n
+		g.MeanRun = runSum / n
+		g.Slowdown = slowSum / n
+		g.MeanBoundedSlow = boundedSum / n
+	}
+	if batchJobs > 0 {
+		g.MeanBatchWait = batchSum / float64(batchJobs)
+	}
+	if g.DedicatedJobs > 0 {
+		g.MeanDedWait = dedSum / float64(g.DedicatedJobs)
+		g.DedicatedOnTime = onTimeSum / float64(g.DedicatedJobs)
+	}
+	fillOrderStats(&g, samples)
+	return g
+}
+
+// fillOrderStats sets the statistics that need every sample — MaxWait,
+// MedianWait, P95Wait, and the steady-state window, utilization and mean
+// wait — over the union of the parts, reading s's window and machine size.
+// Median and p95 index the waits as a sort of them would (quickselect
+// finds the same value in expected O(n)). The steady-state window spans
+// the 10th- to 90th-percentile completion instants; with fewer than 10
+// completions it is the whole measurement window and its measures stay
+// zero.
+func fillOrderStats(s *Summary, parts []*Samples) {
+	n := 0
+	for _, p := range parts {
+		n += len(p.PerJob)
+	}
+	s.SteadyWindow = [2]int64{s.WindowStart, s.WindowEnd}
+	if n == 0 {
+		return
+	}
+	waits := make([]float64, 0, n)
+	for _, p := range parts {
+		for _, q := range p.PerJob {
+			waits = append(waits, q.Wait)
+		}
+	}
+	s.MaxWait = slices.Max(waits)
+	s.MedianWait = kth(waits, int(0.5*float64(n-1)))
+	s.P95Wait = kth(waits, int(0.95*float64(n-1)))
+	if n < 10 {
+		return
+	}
+	t0, t1 := finishRanks(parts, n/10, n-1-n/10)
+	s.SteadyWindow = [2]int64{t0, t1}
+	if t1 <= t0 {
+		return
+	}
+	var area, waitSum float64
+	var cnt int
+	for _, p := range parts {
+		area += windowArea(p.BusySteps, t0, t1)
+		for _, q := range p.PerJob {
+			if q.Arrival >= t0 && q.Arrival <= t1 {
+				waitSum += q.Wait
+				cnt++
+			}
+		}
+	}
+	s.SteadyUtilization = area / (float64(t1-t0) * float64(s.MachineSize))
+	if cnt > 0 {
+		s.SteadyMeanWait = waitSum / float64(cnt)
+	}
+}
+
+// finishRanks returns the lo-th and hi-th smallest completion instants
+// (0-based, lo <= hi) across the parts. Each part's PerJob is in
+// completion order, so walking the part heads — the smallest head first —
+// visits the instants in sorted order without sorting or copying them.
+func finishRanks(parts []*Samples, lo, hi int) (tlo, thi int64) {
+	heads := make([]int, len(parts))
+	for r := 0; r <= hi; r++ {
+		best := -1
+		var bt int64
+		for i, p := range parts {
+			if h := heads[i]; h < len(p.PerJob) {
+				if t := p.PerJob[h].Finish; best < 0 || t < bt {
+					best, bt = i, t
+				}
+			}
+		}
+		heads[best]++
+		if r == lo {
+			tlo = bt
+		}
+		thi = bt
+	}
+	return tlo, thi
+}
+
+// windowArea integrates a busy step function over [t0, t1]: the busy
+// processor-seconds inside the window.
+func windowArea(steps []BusyStep, t0, t1 int64) float64 {
+	var area float64
+	for i, st := range steps {
+		segStart := max(st.T, t0)
+		segEnd := t1
+		if i+1 < len(steps) && steps[i+1].T < segEnd {
+			segEnd = steps[i+1].T
+		}
+		if segEnd > segStart {
+			area += float64(st.Busy) * float64(segEnd-segStart)
+		}
+		if i+1 < len(steps) && steps[i+1].T >= t1 {
+			break
+		}
+	}
+	return area
 }
 
 // kth returns the k-th smallest element (0-based) of xs, reordering xs in
@@ -638,77 +709,10 @@ func kth[T cmp.Ordered](xs []T, k int) T {
 	return xs[k]
 }
 
-// steadyState computes utilization and mean wait over the central window
-// between the 10th- and 90th-percentile completion instants.
-func (c *Collector) steadyState() (window [2]int64, util, wait float64) {
-	n := len(c.perJob)
-	if n < 10 {
-		return [2]int64{c.t0, c.tEnd}, 0, 0
-	}
-	finishes := make([]int64, n)
-	for i, p := range c.perJob {
-		finishes[i] = p.finish
-	}
-	t0 := kth(finishes, n/10)
-	t1 := kth(finishes, n-1-n/10)
-	if t1 <= t0 {
-		return [2]int64{t0, t1}, 0, 0
-	}
-	util = c.WindowUtilization(t0, t1)
-	var sum float64
-	var cnt int
-	for _, p := range c.perJob {
-		if p.arrival >= t0 && p.arrival <= t1 {
-			sum += p.wait
-			cnt++
-		}
-	}
-	if cnt > 0 {
-		wait = sum / float64(cnt)
-	}
-	return [2]int64{t0, t1}, util, wait
-}
-
-// WindowUtilization integrates the recorded busy curve over [t0, t1].
-func (c *Collector) WindowUtilization(t0, t1 int64) float64 {
-	if t1 <= t0 || len(c.busySteps) == 0 {
-		return 0
-	}
-	var area float64
-	for i, st := range c.busySteps {
-		segStart := st.t
-		segEnd := t1
-		if i+1 < len(c.busySteps) && c.busySteps[i+1].t < segEnd {
-			segEnd = c.busySteps[i+1].t
-		}
-		if segStart < t0 {
-			segStart = t0
-		}
-		if segEnd > segStart {
-			area += float64(st.busy) * float64(segEnd-segStart)
-		}
-		if i+1 < len(c.busySteps) && c.busySteps[i+1].t >= t1 {
-			break
-		}
-	}
-	return area / (float64(t1-t0) * float64(c.m))
-}
-
 // String renders the headline metrics.
 func (s Summary) String() string {
 	return fmt.Sprintf("util=%.4f wait=%.1fs run=%.1fs slowdown=%.3f jobs=%d",
 		s.Utilization, s.MeanWait, s.MeanRun, s.Slowdown, s.Jobs)
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var t float64
-	for _, x := range xs {
-		t += x
-	}
-	return t / float64(len(xs))
 }
 
 // Average combines summaries from repeated seeds into their arithmetic

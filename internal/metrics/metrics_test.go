@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"elastisched/internal/job"
@@ -265,14 +267,15 @@ func TestWindowUtilization(t *testing.T) {
 	c.JobArrived(j, 0)
 	c.JobStarted(j, 0)
 	c.JobFinished(j, 100)
-	if got := c.WindowUtilization(0, 100); got != 0.5 {
-		t.Errorf("window util = %g, want 0.5", got)
+	steps := c.Samples().BusySteps
+	if got := windowArea(steps, 0, 100); got != 160*100 {
+		t.Errorf("window area = %g, want %d", got, 160*100)
 	}
-	if got := c.WindowUtilization(50, 150); got != 0.25 {
-		t.Errorf("half-overlap window util = %g, want 0.25", got)
+	if got := windowArea(steps, 50, 150); got != 160*50 {
+		t.Errorf("half-overlap window area = %g, want %d", got, 160*50)
 	}
-	if got := c.WindowUtilization(100, 100); got != 0 {
-		t.Errorf("empty window util = %g, want 0", got)
+	if got := windowArea(steps, 100, 100); got != 0 {
+		t.Errorf("empty window area = %g, want 0", got)
 	}
 }
 
@@ -293,5 +296,138 @@ func TestMaxQueueDepth(t *testing.T) {
 	c.JobFinished(j3, 40)
 	if s := c.Summary(); s.MaxQueueDepth != 3 {
 		t.Errorf("max queue depth = %d, want 3", s.MaxQueueDepth)
+	}
+}
+
+// replay feeds a schedule to the global collector and to the part
+// collector named by part(i), in time order; at one instant arrivals come
+// first, then completions, then starts. A zero FinishTime means the job is
+// still running at the end.
+func replay(global *Collector, parts []*Collector, jobs []*job.Job, part func(i int) int) {
+	type event struct {
+		t    int64
+		kind int // 0 arrival, 1 finish, 2 start
+		i    int
+	}
+	var evs []event
+	for i, j := range jobs {
+		evs = append(evs, event{j.Arrival, 0, i}, event{j.StartTime, 2, i})
+		if j.FinishTime > 0 {
+			evs = append(evs, event{j.FinishTime, 1, i})
+		}
+	}
+	slices.SortStableFunc(evs, func(a, b event) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.kind, b.kind))
+	})
+	for _, ev := range evs {
+		j := jobs[ev.i]
+		for _, c := range []*Collector{global, parts[part(ev.i)]} {
+			switch ev.kind {
+			case 0:
+				c.JobArrived(j, ev.t)
+			case 1:
+				c.JobFinished(j, ev.t)
+			default:
+				c.JobStarted(j, ev.t)
+			}
+		}
+	}
+}
+
+// merged is Merge over the collectors' summaries and samples.
+func merged(parts []*Collector) Summary {
+	var sums []Summary
+	var samples []*Samples
+	for _, c := range parts {
+		sums = append(sums, c.Summary())
+		samples = append(samples, c.Samples())
+	}
+	return Merge(sums, samples)
+}
+
+// TestMergeMatchesOneCollector: two machines' collectors merge to the
+// order statistics and steady-state measures one collector watching both
+// machines reports.
+func TestMergeMatchesOneCollector(t *testing.T) {
+	// Each machine runs its jobs one after another, with different
+	// durations, so the two completion streams interleave.
+	var jobs []*job.Job
+	var free [2]int64
+	for i := 0; i < 40; i++ {
+		p := i % 2
+		arr := int64(i * 7)
+		dur := 60 + int64(i%3)*20
+		if p == 1 {
+			dur = 90 + int64(i%4)*15
+		}
+		start := max(arr, free[p])
+		free[p] = start + dur
+		jobs = append(jobs, finished(i+1, 32*(1+i%5), arr, start, start+dur, job.Batch, -1))
+	}
+	global := NewCollector(640)
+	parts := []*Collector{NewCollector(320), NewCollector(320)}
+	replay(global, parts, jobs, func(i int) int { return i % 2 })
+
+	want, got := global.Summary(), merged(parts)
+	if got.MachineSize != want.MachineSize || got.Jobs != want.Jobs ||
+		got.WindowStart != want.WindowStart || got.WindowEnd != want.WindowEnd {
+		t.Fatalf("merged totals %+v, one collector %+v", got, want)
+	}
+	if got.MaxWait != want.MaxWait || got.MedianWait != want.MedianWait || got.P95Wait != want.P95Wait {
+		t.Errorf("order statistics: merged max/median/p95 %v/%v/%v, one collector %v/%v/%v",
+			got.MaxWait, got.MedianWait, got.P95Wait, want.MaxWait, want.MedianWait, want.P95Wait)
+	}
+	if got.SteadyWindow != want.SteadyWindow || got.SteadyUtilization != want.SteadyUtilization ||
+		got.SteadyMeanWait != want.SteadyMeanWait {
+		t.Errorf("steady state: merged %v %v %v, one collector %v %v %v",
+			got.SteadyWindow, got.SteadyUtilization, got.SteadyMeanWait,
+			want.SteadyWindow, want.SteadyUtilization, want.SteadyMeanWait)
+	}
+	if want.SteadyWindow[0] >= want.SteadyWindow[1] || want.SteadyUtilization == 0 || want.MedianWait == 0 {
+		t.Fatalf("degenerate scenario: steady window %v, utilization %v, median wait %v",
+			want.SteadyWindow, want.SteadyUtilization, want.MedianWait)
+	}
+}
+
+// TestMergeDegenerateSteadyWindow: below 10 completions, and with none at
+// all, the merged steady window is the measurement window, as the
+// collector's is, and its measures stay zero.
+func TestMergeDegenerateSteadyWindow(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		finished bool
+	}{{"fewer than 10 completions", true}, {"no completions", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var jobs []*job.Job
+			for i := 0; i < 5; i++ {
+				arr := 100 + int64(i*10)
+				var fin int64
+				if tc.finished {
+					fin = arr + 50
+				}
+				jobs = append(jobs, finished(i+1, 32, arr, arr, fin, job.Batch, -1))
+			}
+			global := NewCollector(640)
+			parts := []*Collector{NewCollector(320), NewCollector(320)}
+			replay(global, parts, jobs, func(i int) int { return i % 2 })
+			want, got := global.Summary(), merged(parts)
+			if want.SteadyWindow != [2]int64{want.WindowStart, want.WindowEnd} {
+				t.Fatalf("collector steady window %v is not its measurement window [%d %d]",
+					want.SteadyWindow, want.WindowStart, want.WindowEnd)
+			}
+			if want.SteadyWindow[0] != 100 {
+				t.Fatalf("scenario drifted: measurement window %v should open at 100", want.SteadyWindow)
+			}
+			if got.SteadyWindow != want.SteadyWindow {
+				t.Errorf("merged steady window %v, collector %v", got.SteadyWindow, want.SteadyWindow)
+			}
+			if got.SteadyUtilization != 0 || got.SteadyMeanWait != 0 {
+				t.Errorf("merged steady measures %v/%v, want zero", got.SteadyUtilization, got.SteadyMeanWait)
+			}
+			if got.MedianWait != want.MedianWait || got.P95Wait != want.P95Wait || got.MaxWait != want.MaxWait {
+				t.Errorf("merged order statistics %v/%v/%v, collector %v/%v/%v",
+					got.MedianWait, got.P95Wait, got.MaxWait, want.MedianWait, want.P95Wait, want.MaxWait)
+			}
+		})
 	}
 }

@@ -75,7 +75,7 @@ func TestSnapshotCopiesSeries(t *testing.T) {
 	c.JobStarted(j, 5)
 	s := c.Snapshot()
 	c.JobFinished(j, 10) // mutate after capture
-	if len(s.Waits) != 0 || s.JobsDone != 0 {
+	if len(s.PerJob) != 0 || s.JobsDone != 0 {
 		t.Errorf("snapshot shares state with the live collector: %+v", s)
 	}
 	if got := NewCollectorFromSnapshot(s); got.jobsDone != 0 || got.busy != 64 {

@@ -77,7 +77,7 @@ func Render(title, xlabel, ylabel string, series []Series, width, height int) st
 	}
 	fmt.Fprintf(&b, "%10.4g ┤%s\n", minY, string(grid[height-1]))
 	fmt.Fprintf(&b, "%10s └%s\n", "", strings.Repeat("─", width))
-	fmt.Fprintf(&b, "%11s%-10.4g%s%10.4g\n", "", minX, strings.Repeat(" ", maxInt(1, width-20)), maxX)
+	fmt.Fprintf(&b, "%11s%-10.4g%s%10.4g\n", "", minX, strings.Repeat(" ", max(1, width-20)), maxX)
 	fmt.Fprintf(&b, "%11s%s\n", "", xlabel)
 	legend := make([]string, 0, len(series))
 	for si, s := range series {
@@ -85,11 +85,4 @@ func Render(title, xlabel, ylabel string, series []Series, width, height int) st
 	}
 	fmt.Fprintf(&b, "%11s%s\n", "", strings.Join(legend, "   "))
 	return b.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -233,7 +233,7 @@ func DedicatedFreeze(ctx *Context) (fz Freeze, onTime bool) {
 // 50 jobs is the LOS paper's complexity containment.
 func WaitingWindow(q *job.BatchQueue, m, lookahead int) []*job.Job {
 	jobs := q.Jobs()
-	out := make([]*job.Job, 0, minInt(len(jobs), 8))
+	out := make([]*job.Job, 0, min(len(jobs), 8))
 	for _, j := range jobs {
 		if lookahead > 0 && len(out) >= lookahead {
 			break
@@ -264,13 +264,6 @@ func (c *Context) Window(m, lookahead int) []*job.Job {
 	}
 	c.win = out
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Describe renders a one-line summary of the context, for debug traces.
