@@ -26,14 +26,15 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
-# Snapshot the packing-kernel, event-kernel, and end-to-end sweep
-# benchmarks as BENCH_<date>.json (see DESIGN.md, "Packing-engine
-# performance" and "End-to-end simulation throughput"). Commit the
-# refreshed file whenever kernel or engine performance work lands.
+# Re-run the packing-kernel, event-kernel, and end-to-end sweep
+# benchmarks and replace their rows in the BENCH.json ledger (see
+# DESIGN.md, "Packing-engine performance" and "End-to-end simulation
+# throughput"). Commit the updated ledger whenever kernel or engine
+# performance work lands.
 bench-json:
 	$(GO) run ./cmd/benchjson
 
-# Gate the current tree against the newest committed BENCH_*.json: fails
+# Gate the current tree against the committed BENCH.json ledger: fails
 # when any recorded benchmark regressed past the tolerance factor (loose on
 # ns/op, which is machine-sensitive; tight on deterministic alloc counts).
 bench-gate:

@@ -1,5 +1,5 @@
-// Command benchgate re-runs the benchmarks recorded in a committed
-// BENCH_<date>.json snapshot and fails when any of them regressed beyond a
+// Command benchgate re-runs the benchmarks recorded in the committed
+// ledger, BENCH.json, and fails when any of them regressed beyond a
 // tolerance factor. It is the cheap, automatable half of the regeneration
 // workflow: benchjson records numbers for review, benchgate checks fresh
 // runs against them.
@@ -12,14 +12,12 @@
 //
 // Usage:
 //
-//	go run ./cmd/benchgate                      # all BENCH_*.json, newest wins per benchmark
-//	go run ./cmd/benchgate -file BENCH_x.json -tolerance 1.5
+//	go run ./cmd/benchgate                      # gate against BENCH.json
+//	go run ./cmd/benchgate -file other.json -tolerance 1.5
 //	go run ./cmd/benchgate -bench 'Simulate500' -pkgs ./internal/engine
 //
-// With no -file, every committed BENCH_*.json is merged into one baseline:
-// files are visited in name (date) order and the newest recording of each
-// benchmark wins, so specialised snapshots (e.g. a scaling-curve file) add
-// their benchmarks to the gate without un-gating the ones recorded earlier.
+// The ledger holds one row per benchmark (cmd/benchjson replaces a row
+// when it re-records that benchmark), each with its recording date.
 //
 // Besides the absolute per-benchmark gates, a built-in ratio-gate table
 // pins relative claims between pairs of benchmarks of the SAME fresh run —
@@ -34,23 +32,15 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"elastisched/internal/benchparse"
 )
-
-type snapshot struct {
-	Generated  string             `json:"generated"`
-	Benchmarks []benchparse.Bench `json:"benchmarks"`
-}
 
 // ratioGates pin relative claims between two benchmarks of the same fresh
 // run: slower/faster must stay at or above min. Both sides come from the
@@ -133,7 +123,7 @@ var requiredGates = []string{
 
 func main() {
 	var (
-		file      = flag.String("file", "", "snapshot to gate against (empty = merge all BENCH_*.json, newest wins per benchmark)")
+		file      = flag.String("file", "BENCH.json", "benchmark ledger to gate against")
 		benchRE   = flag.String("bench", ".", "benchmark name regexp passed to go test")
 		pkgs      = flag.String("pkgs", "./internal/core,./internal/sched,./internal/simkit,./internal/engine,./internal/machine,./internal/dispatch", "comma-separated packages to benchmark")
 		tolerance = flag.Float64("tolerance", 1.75, "max allowed ns/op ratio current/recorded")
@@ -141,30 +131,17 @@ func main() {
 	)
 	flag.Parse()
 
-	paths := []string{*file}
-	if *file == "" {
-		matches, err := filepath.Glob("BENCH_*.json")
-		if err != nil || len(matches) == 0 {
-			fatal(fmt.Errorf("no BENCH_*.json snapshot found (run cmd/benchjson first)"))
-		}
-		sort.Strings(matches)
-		paths = matches
+	ledger, err := benchparse.ReadLedger(*file)
+	if err != nil {
+		fatal(err)
+	}
+	if len(ledger.Rows) == 0 {
+		fatal(fmt.Errorf("%s holds no benchmarks (run cmd/benchjson first)", *file))
 	}
 	recorded := map[string]benchparse.Bench{}
-	for _, path := range paths {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			fatal(err)
-		}
-		var snap snapshot
-		if err := json.Unmarshal(raw, &snap); err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
-		}
-		for _, b := range snap.Benchmarks {
-			recorded[b.Pkg+"."+b.Name] = b
-		}
+	for _, r := range ledger.Rows {
+		recorded[r.Pkg+"."+r.Name] = r.Bench
 	}
-	baseline := strings.Join(paths, "+")
 
 	args := []string{"test", "-run=NONE", "-bench", *benchRE, "-benchmem", "-count", fmt.Sprint(*count)}
 	args = append(args, strings.Split(*pkgs, ",")...)
@@ -242,20 +219,20 @@ func main() {
 			failed++
 			switch {
 			case recorded[key].NsPerOp <= 0:
-				fmt.Printf("benchgate: FAIL required %s: not in any committed BENCH_*.json — re-run cmd/benchjson\n", key)
+				fmt.Printf("benchgate: FAIL required %s: not in %s — re-run cmd/benchjson\n", key, *file)
 			default:
 				fmt.Printf("benchgate: FAIL required %s: recorded but missing from the fresh run\n", key)
 			}
 		}
 	}
 	if compared == 0 {
-		fatal(fmt.Errorf("no benchmark in the fresh run matches %s — check -bench/-pkgs", baseline))
+		fatal(fmt.Errorf("no benchmark in the fresh run matches %s — check -bench/-pkgs", *file))
 	}
 	if failed > 0 {
-		fmt.Printf("benchgate: %d of %d gated benchmarks regressed beyond tolerance (vs %s)\n", failed, compared, baseline)
+		fmt.Printf("benchgate: %d of %d gated benchmarks regressed beyond tolerance (vs %s)\n", failed, compared, *file)
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: OK — %d benchmarks within %.2fx of %s\n", compared, *tolerance, baseline)
+	fmt.Printf("benchgate: OK — %d benchmarks within %.2fx of %s\n", compared, *tolerance, *file)
 }
 
 func fatal(err error) {

@@ -1,19 +1,20 @@
 // Command benchjson runs the repository's performance benchmarks and
-// writes a machine-readable JSON snapshot (BENCH_<date>.json by default)
-// so kernel regressions show up in review as a diff against the
-// committed numbers. See DESIGN.md, "Packing-engine performance", for
-// the regeneration workflow.
+// records them in the benchmark ledger, BENCH.json, so kernel regressions
+// show up in review as a diff against the committed numbers. Each fresh
+// measurement replaces the ledger row of the same (pkg, name), stamped
+// with today's date and this host; rows of benchmarks not re-run stay as
+// they were. See DESIGN.md, "Packing-engine performance", for the
+// regeneration workflow.
 //
 // Usage:
 //
-//	go run ./cmd/benchjson                         # BENCH_<today>.json
-//	go run ./cmd/benchjson -out bench.json -count 3
-//	go run ./cmd/benchjson -baseline old_bench.txt # embed prior raw output
+//	go run ./cmd/benchjson                         # record everything into BENCH.json
+//	go run ./cmd/benchjson -bench Simulate500 -pkgs ./internal/engine
+//	go run ./cmd/benchjson -out other.json -count 3
 package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -26,23 +27,13 @@ import (
 	"elastisched/internal/benchparse"
 )
 
-type doc struct {
-	Generated string `json:"generated"`
-	benchparse.Env
-	Benchmarks []benchparse.Bench `json:"benchmarks"`
-	// Baseline carries pre-change numbers parsed from -baseline, so one
-	// file documents the before/after pair.
-	Baseline []benchparse.Bench `json:"baseline,omitempty"`
-}
-
 func main() {
 	var (
-		out      = flag.String("out", "", "output file (empty = BENCH_<today>.json)")
-		benchRE  = flag.String("bench", ".", "benchmark name regexp passed to go test")
-		pkgs     = flag.String("pkgs", "./internal/core,./internal/sched,./internal/simkit,./internal/engine,./internal/experiment,./internal/machine,./internal/dispatch", "comma-separated packages to benchmark")
-		count    = flag.Int("count", 1, "-count passed to go test")
-		benchT   = flag.String("benchtime", "", "-benchtime passed to go test (empty = default)")
-		baseline = flag.String("baseline", "", "raw `go test -bench` output to embed as the baseline section")
+		out     = flag.String("out", "BENCH.json", "benchmark ledger to update")
+		benchRE = flag.String("bench", ".", "benchmark name regexp passed to go test")
+		pkgs    = flag.String("pkgs", "./internal/core,./internal/sched,./internal/simkit,./internal/engine,./internal/experiment,./internal/machine,./internal/dispatch", "comma-separated packages to benchmark")
+		count   = flag.Int("count", 1, "-count passed to go test")
+		benchT  = flag.String("benchtime", "", "-benchtime passed to go test (empty = default)")
 	)
 	flag.Parse()
 
@@ -69,36 +60,15 @@ func main() {
 	}
 	env.Go = runtime.Version()
 
-	d := doc{
-		Generated:  time.Now().Format("2006-01-02"),
-		Env:        env,
-		Benchmarks: benches,
-	}
-	if *baseline != "" {
-		f, err := os.Open(*baseline)
-		if err != nil {
-			fatal(err)
-		}
-		d.Baseline, _, err = benchparse.Parse(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-	}
-
-	path := *out
-	if path == "" {
-		path = "BENCH_" + d.Generated + ".json"
-	}
-	js, err := json.MarshalIndent(&d, "", "  ")
+	ledger, err := benchparse.ReadLedger(*out)
 	if err != nil {
 		fatal(err)
 	}
-	js = append(js, '\n')
-	if err := os.WriteFile(path, js, 0o644); err != nil {
+	ledger.Record(time.Now().Format("2006-01-02"), env, benches)
+	if err := ledger.Write(*out); err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %s (%d benchmarks)\n", path, len(benches))
+	fmt.Fprintf(os.Stderr, "benchjson: recorded %d benchmarks in %s (%d rows)\n", len(benches), *out, len(ledger.Rows))
 }
 
 func fatal(err error) {

@@ -1,12 +1,19 @@
 // Package benchparse parses raw `go test -bench -benchmem` output into
-// structured measurements. It is shared by cmd/benchjson (which snapshots
-// numbers into BENCH_<date>.json files) and cmd/benchgate (which compares
-// fresh runs against a committed snapshot).
+// structured measurements and keeps the benchmark ledger, BENCH.json. It
+// is shared by cmd/benchjson (which records fresh numbers into the
+// ledger) and cmd/benchgate (which compares fresh runs against it).
 package benchparse
 
 import (
 	"bufio"
+	"cmp"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"io/fs"
+	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -116,4 +123,66 @@ func stripProcs(name string) string {
 		return name
 	}
 	return name[:i]
+}
+
+// Row is one ledger entry: a measurement with the date and host it was
+// recorded on.
+type Row struct {
+	Bench
+	Generated string `json:"generated"`
+	Env
+}
+
+// Ledger is the committed benchmark record: one row per benchmark, keyed
+// by (Pkg, Name) and sorted by that key.
+type Ledger struct {
+	Rows []Row `json:"benchmarks"`
+}
+
+// ReadLedger loads a ledger; a missing file is an empty ledger.
+func ReadLedger(path string) (*Ledger, error) {
+	raw, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return &Ledger{}, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var l Ledger
+	if err := json.Unmarshal(raw, &l); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &l, nil
+}
+
+// Record replaces the row of every benchmark in benches, or adds one, as
+// measured on date by env. Of repeated measurements (-count > 1) the last
+// one is kept.
+func (l *Ledger) Record(date string, env Env, benches []Bench) {
+	at := make(map[[2]string]int, len(l.Rows))
+	for i, r := range l.Rows {
+		at[[2]string{r.Pkg, r.Name}] = i
+	}
+	for _, b := range benches {
+		row := Row{Bench: b, Generated: date, Env: env}
+		key := [2]string{b.Pkg, b.Name}
+		if i, ok := at[key]; ok {
+			l.Rows[i] = row
+			continue
+		}
+		at[key] = len(l.Rows)
+		l.Rows = append(l.Rows, row)
+	}
+	slices.SortFunc(l.Rows, func(a, b Row) int {
+		return cmp.Or(cmp.Compare(a.Pkg, b.Pkg), cmp.Compare(a.Name, b.Name))
+	})
+}
+
+// Write stores the ledger as indented JSON.
+func (l *Ledger) Write(path string) error {
+	js, err := json.MarshalIndent(l, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(js, '\n'), 0o644)
 }

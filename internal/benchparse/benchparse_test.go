@@ -1,6 +1,7 @@
 package benchparse
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -66,5 +67,42 @@ func TestParseBenchLineVariants(t *testing.T) {
 	}
 	if _, ok := parseBenchLine("BenchmarkX 100 5 bogounits extra", "p"); ok {
 		t.Error("line without ns/op accepted")
+	}
+}
+
+// TestLedgerRecord: re-recording a benchmark replaces its row (the last
+// of repeated measurements wins), new benchmarks add rows, untouched rows
+// keep their date, and the ledger survives a write/read round trip sorted
+// by (pkg, name).
+func TestLedgerRecord(t *testing.T) {
+	env := Env{Go: "go1.24.0", GOOS: "linux", GOARCH: "amd64", CPU: "x"}
+	l := &Ledger{}
+	l.Record("2026-01-01", env, []Bench{
+		{Pkg: "p/b", Name: "BenchmarkY", NsPerOp: 10},
+		{Pkg: "p/a", Name: "BenchmarkX", NsPerOp: 20, AllocsPerOp: 3},
+	})
+	l.Record("2026-02-02", env, []Bench{
+		{Pkg: "p/b", Name: "BenchmarkY", NsPerOp: 12},
+		{Pkg: "p/b", Name: "BenchmarkY", NsPerOp: 11},
+		{Pkg: "p/a", Name: "BenchmarkZ", NsPerOp: 5},
+	})
+	path := t.TempDir() + "/BENCH.json"
+	if err := l.Write(path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Row{
+		{Bench: Bench{Pkg: "p/a", Name: "BenchmarkX", NsPerOp: 20, AllocsPerOp: 3}, Generated: "2026-01-01", Env: env},
+		{Bench: Bench{Pkg: "p/a", Name: "BenchmarkZ", NsPerOp: 5}, Generated: "2026-02-02", Env: env},
+		{Bench: Bench{Pkg: "p/b", Name: "BenchmarkY", NsPerOp: 11}, Generated: "2026-02-02", Env: env},
+	}
+	if !reflect.DeepEqual(back.Rows, want) {
+		t.Errorf("ledger rows %+v, want %+v", back.Rows, want)
+	}
+	if empty, err := ReadLedger(t.TempDir() + "/missing.json"); err != nil || len(empty.Rows) != 0 {
+		t.Errorf("missing ledger = %+v, %v; want empty", empty, err)
 	}
 }

@@ -8,9 +8,11 @@ import (
 
 	"elastisched/internal/cwf"
 	"elastisched/internal/engine"
+	"elastisched/internal/fault"
 	"elastisched/internal/job"
 	"elastisched/internal/metrics"
 	"elastisched/internal/sched"
+	"elastisched/internal/workload"
 )
 
 // TestMergedSlowdownJobWeighted pins the job-weighted slowdown merge with a
@@ -170,6 +172,62 @@ func TestSingleClusterMergedIsPassthrough(t *testing.T) {
 	}
 	if res.Merged.MedianWait == 0 && res.Merged.P95Wait == 0 {
 		t.Fatal("single-cluster order statistics missing from passthrough")
+	}
+}
+
+// TestMergedFaultCountersSumClusters: the fault, checkpoint and resize
+// counters of a multi-cluster run merge as plain sums over the clusters.
+// The run injects faults under periodic checkpoints with malleable jobs
+// and an AutoResize policy, so every counter is nonzero somewhere.
+func TestMergedFaultCountersSumClusters(t *testing.T) {
+	p := workload.DefaultParams()
+	p.N, p.Seed, p.PM = 200, 5, 0.4
+	w, err := workload.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(w, Config{
+		Clusters: 2,
+		Engine: engine.Config{
+			M: 320, Unit: 32, Malleable: true, ResizeOverhead: 5,
+			Faults: &engine.FaultConfig{
+				MTBF: 40000, MTTR: 2000, Seed: 3,
+				Checkpoint: fault.CheckpointPeriodic, CheckpointInterval: 600, CheckpointCost: 30,
+			},
+		},
+		NewScheduler: func() sched.Scheduler { return sched.NewAutoResize(losFactory()) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum metrics.Summary
+	for _, c := range res.Clusters {
+		s := c.Result.Summary
+		sum.KilledJobs += s.KilledJobs
+		sum.RetriedJobs += s.RetriedJobs
+		sum.DroppedJobs += s.DroppedJobs
+		sum.LostWorkSeconds += s.LostWorkSeconds
+		sum.DownProcSeconds += s.DownProcSeconds
+		sum.CheckpointsTaken += s.CheckpointsTaken
+		sum.CheckpointOverheadSeconds += s.CheckpointOverheadSeconds
+		sum.SchedulerResizes += s.SchedulerResizes
+		sum.ShrunkProcSeconds += s.ShrunkProcSeconds
+		sum.ReconfigOverheadSeconds += s.ReconfigOverheadSeconds
+	}
+	type counters struct {
+		Killed, Retried, Dropped, Ckpts, Resizes   int
+		Lost, Down, CkptOverhead, Shrunk, Reconfig float64
+	}
+	of := func(s metrics.Summary) counters {
+		return counters{s.KilledJobs, s.RetriedJobs, s.DroppedJobs, s.CheckpointsTaken, s.SchedulerResizes,
+			s.LostWorkSeconds, s.DownProcSeconds, s.CheckpointOverheadSeconds, s.ShrunkProcSeconds, s.ReconfigOverheadSeconds}
+	}
+	if got, want := of(res.Merged), of(sum); got != want {
+		t.Errorf("merged counters %+v, want the cluster sums %+v", got, want)
+	}
+	if sum.KilledJobs == 0 || sum.CheckpointsTaken == 0 || sum.SchedulerResizes == 0 ||
+		sum.ShrunkProcSeconds == 0 || sum.ReconfigOverheadSeconds == 0 {
+		t.Fatalf("run left a counter at zero, the test exercises too little: %+v", of(sum))
 	}
 }
 

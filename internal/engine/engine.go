@@ -694,7 +694,7 @@ func (s *Session) checkInvariants() error {
 	}
 	act := s.active.Jobs()
 	for i := 1; i < len(act); i++ {
-		if act[i-1].EndTime > act[i].EndTime {
+		if p, q := act[i-1], act[i]; p.EndTime > q.EndTime || p.EndTime == q.EndTime && p.ID > q.ID {
 			return fmt.Errorf("engine: active list unsorted at %d", i)
 		}
 	}
@@ -871,15 +871,17 @@ func (s *Session) FindWaiting(id int) *job.Job {
 // FindRunning implements ecc.Target.
 func (s *Session) FindRunning(id int) *job.Job { return s.active.Find(id) }
 
-// RetimeRunning implements ecc.Target: re-sort the active list and move the
-// completion event to the new effective termination time (the actual
-// runtime capped by the mutated kill-by time).
+// RetimeRunning implements ecc.Target: re-insert the job into the active
+// list at its new kill-by time and move the completion event to the new
+// effective termination time (the actual runtime capped by the mutated
+// kill-by time).
 func (s *Session) RetimeRunning(j *job.Job, oldEnd int64) {
 	now := s.eng.Now()
 	if j.EndTime < now {
 		j.EndTime = now
 	}
-	s.active.Resort()
+	s.active.Remove(j)
+	s.active.Insert(j)
 	s.eng.Cancel(s.getCompletion(j.ID))
 	at := j.StartTime + j.EffectiveRuntime()
 	if at < now {

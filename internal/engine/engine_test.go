@@ -586,6 +586,18 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		t.Error("kill-by drifted from start + dur not caught")
 	}
 
+	// Active list tied on kill-by time but out of ID order.
+	s = mk()
+	s.mach.Alloc(2, 32)
+	s.mach.Alloc(1, 32)
+	late := &job.Job{ID: 1, Size: 32, State: job.Running, Dur: 20, EndTime: 20, ReqStart: -1}
+	s.active.Insert(&job.Job{ID: 2, Size: 32, State: job.Running, Dur: 10, EndTime: 10, ReqStart: -1})
+	s.active.Insert(late)
+	late.Dur, late.EndTime = 10, 10
+	if err := s.checkInvariants(); err == nil {
+		t.Error("kill-by tie out of ID order not caught")
+	}
+
 	// Batch queue out of FIFO order (simulating queue corruption).
 	s = mk()
 	s.batch.Push(&job.Job{ID: 1, Size: 32, Dur: 1, Arrival: 100, ReqStart: -1})

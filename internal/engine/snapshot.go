@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 
 	"elastisched/internal/cwf"
 	"elastisched/internal/ecc"
@@ -51,17 +52,13 @@ type EventSnap struct {
 	Groups []int `json:"groups,omitempty"`
 }
 
-// Snapshot is the complete, self-contained state of a Session at an
-// instant boundary. It is plain data: JSON-encodable via Encode /
-// DecodeSnapshot, inspectable, and restorable into a fresh Session built
-// with an equivalent Config (same geometry and feature flags; the
-// scheduler may differ, enabling policy-swap resume — captured policy
-// state then does not carry over).
-type Snapshot struct {
-	Version   int    `json:"version"`
-	Scheduler string `json:"scheduler"`
-
-	// Machine geometry and feature flags the restoring Config must match.
+// Settings is the run configuration a snapshot records and a resume must
+// honour: machine geometry, allocation mode, ECC processing, the
+// runtime-elasticity flags, and the fault retry and checkpoint policy.
+// settingsOf captures it from a Config, Config rebuilds a Config from it,
+// and Restore rejects a snapshot whose Settings differ from its own
+// config's.
+type Settings struct {
 	M            int  `json:"m"`
 	Unit         int  `json:"unit"`
 	Contiguous   bool `json:"contiguous,omitempty"`
@@ -69,34 +66,107 @@ type Snapshot struct {
 	ProcessECC   bool `json:"process_ecc,omitempty"`
 	MaxECCPerJob int  `json:"max_ecc_per_job,omitempty"`
 	// Retry is the fault retry policy of a fault-injected session; nil when
-	// fault injection is off. The restoring Config must match: pending
-	// fail/repair events and the machine's health table are meaningless
-	// without the fault subsystem, and future kills must follow the same
-	// policy.
+	// fault injection is off. Pending fail/repair events and the machine's
+	// health table are meaningless without the fault subsystem, and future
+	// kills must follow the same policy.
 	Retry *fault.RetryPolicy `json:"retry,omitempty"`
-	// Checkpoint knobs of a fault-injected session (meaningful only when
-	// Retry is set). The restoring Config must match: pending ckpt events
-	// and per-job checkpoint progress are tied to the policy, interval and
-	// cost in force when they were captured. A daly policy is captured
-	// verbatim with its resolved base interval sqrt(2·MTBF·C) — in-flight
-	// chains resume from the snapshotted events at their pinned fire
-	// times, and jobs dispatched after the restore re-derive their
-	// per-span intervals from the restoring config's MTBF, which the
-	// interval match holds consistent with the captured one.
+	// Checkpoint knobs of a fault-injected session: the policy ("" for
+	// none), its resolved base interval (the configured one for periodic,
+	// sqrt(2·MTBF·C) for daly, 0 otherwise), and the cost. Pending ckpt
+	// events and per-job checkpoint progress are tied to them. Pinning
+	// daly's derived interval catches a config whose MTBF or cost would
+	// re-derive different per-job intervals.
 	Checkpoint         string `json:"checkpoint,omitempty"`
 	CheckpointInterval int64  `json:"checkpoint_interval,omitempty"`
 	CheckpointCost     int64  `json:"checkpoint_cost,omitempty"`
 	// CheckpointMTBF is the per-group MTBF a daly session derives its
-	// per-job intervals from, captured so a session rebuilt from the
-	// snapshot alone (whose pinned fault events preclude sampling
-	// parameters on the config) can keep deriving them. Zero for every
-	// other policy.
+	// per-job intervals from, so a session rebuilt from the snapshot alone
+	// (whose pinned fault events preclude sampling) keeps deriving them.
+	// Zero for every other policy.
 	CheckpointMTBF float64 `json:"checkpoint_mtbf,omitempty"`
-	// Malleable and ResizeOverhead are the runtime-elasticity flags; the
-	// restoring Config must match, or resumed resizes would change
-	// semantics mid-run.
+	// Malleable and ResizeOverhead are the runtime-elasticity flags;
+	// resumed resizes must keep their semantics.
 	Malleable      bool  `json:"malleable,omitempty"`
 	ResizeOverhead int64 `json:"resize_overhead,omitempty"`
+}
+
+// settingsOf captures cfg's Settings.
+func settingsOf(cfg *Config) Settings {
+	st := Settings{
+		M:              cfg.M,
+		Unit:           cfg.Unit,
+		Contiguous:     cfg.Contiguous,
+		Migrate:        cfg.Migrate,
+		ProcessECC:     cfg.ProcessECC,
+		MaxECCPerJob:   cfg.MaxECCPerJob,
+		Malleable:      cfg.Malleable,
+		ResizeOverhead: cfg.ResizeOverhead,
+	}
+	if fc := cfg.Faults; fc != nil {
+		retry := fc.Retry
+		st.Retry = &retry
+		if fc.Checkpoint != fault.CheckpointNone {
+			st.Checkpoint = fc.Checkpoint.String()
+			st.CheckpointInterval = fc.ResolvedCheckpointInterval()
+			st.CheckpointCost = fc.CheckpointCost
+			if fc.Checkpoint == fault.CheckpointDaly {
+				st.CheckpointMTBF = fc.MTBF
+			}
+		}
+	}
+	return st
+}
+
+// Config rebuilds the Config these Settings were captured from, without a
+// scheduler: settingsOf of the result returns st. A fault-injected
+// session's fail/repair events live in its snapshot, so the rebuilt fault
+// config samples nothing: it carries an empty scripted trace, or, under
+// daly, no trace and the captured MTBF to derive per-job intervals from.
+// An unknown checkpoint policy becomes an out-of-range one that New
+// rejects with fault.ErrUnknownCheckpointPolicy.
+func (st Settings) Config() Config {
+	cfg := Config{
+		M:              st.M,
+		Unit:           st.Unit,
+		Contiguous:     st.Contiguous,
+		Migrate:        st.Migrate,
+		ProcessECC:     st.ProcessECC,
+		MaxECCPerJob:   st.MaxECCPerJob,
+		Malleable:      st.Malleable,
+		ResizeOverhead: st.ResizeOverhead,
+	}
+	if st.Retry == nil {
+		return cfg
+	}
+	policy, err := fault.ParseCheckpointPolicy(st.Checkpoint)
+	if err != nil {
+		policy = ^fault.CheckpointPolicy(0)
+	}
+	cfg.Faults = &FaultConfig{
+		Trace:          &fault.Trace{},
+		Retry:          *st.Retry,
+		Checkpoint:     policy,
+		CheckpointCost: st.CheckpointCost,
+	}
+	switch policy {
+	case fault.CheckpointPeriodic:
+		cfg.Faults.CheckpointInterval = st.CheckpointInterval
+	case fault.CheckpointDaly:
+		cfg.Faults.Trace = nil
+		cfg.Faults.MTBF = st.CheckpointMTBF
+	}
+	return cfg
+}
+
+// Snapshot is the complete, self-contained state of a Session at an
+// instant boundary. It is plain data: JSON-encodable via Encode /
+// DecodeSnapshot, inspectable, and restorable into a fresh Session built
+// with the same Settings (the scheduler may differ, enabling policy-swap
+// resume — captured policy state then does not carry over).
+type Snapshot struct {
+	Version   int    `json:"version"`
+	Scheduler string `json:"scheduler"`
+	Settings
 
 	Now        int64  `json:"now"`
 	Dispatched uint64 `json:"dispatched"`
@@ -128,39 +198,6 @@ type Snapshot struct {
 	SchedState []byte `json:"sched_state,omitempty"`
 }
 
-// wireCheckpoint maps a fault config's checkpoint knobs to their snapshot
-// wire form: the policy verbatim plus its resolved base interval (the
-// configured one for periodic, the derived sqrt(2·MTBF·C) for daly, 0
-// otherwise). Pinning daly's base interval lets the mismatch check catch
-// a restoring config whose MTBF or cost would re-derive different
-// per-job intervals.
-func wireCheckpoint(fc *FaultConfig) (fault.CheckpointPolicy, int64) {
-	return fc.Checkpoint, fc.ResolvedCheckpointInterval()
-}
-
-// checkpointMismatch reports whether the snapshot's captured checkpoint
-// knobs differ from the restoring fault config's (both in wire form, so
-// intervals compare resolved).
-func (sn *Snapshot) checkpointMismatch(fc *FaultConfig) bool {
-	policy, err := fault.ParseCheckpointPolicy(sn.Checkpoint)
-	if err != nil {
-		return true
-	}
-	cfgPolicy, cfgIvl := wireCheckpoint(fc)
-	return policy != cfgPolicy ||
-		sn.CheckpointInterval != cfgIvl ||
-		sn.CheckpointCost != fc.CheckpointCost ||
-		(policy == fault.CheckpointDaly && sn.CheckpointMTBF != fc.MTBF)
-}
-
-// orNone renders the empty on-the-wire checkpoint policy as "none".
-func orNone(p string) string {
-	if p == "" {
-		return "none"
-	}
-	return p
-}
-
 // Encode writes the snapshot as JSON.
 func (sn *Snapshot) Encode(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -188,40 +225,17 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 		return nil, s.failed
 	}
 	sn := &Snapshot{
-		Version:        SnapshotVersion,
-		Scheduler:      s.cfg.Scheduler.Name(),
-		M:              s.cfg.M,
-		Unit:           s.cfg.Unit,
-		Contiguous:     s.cfg.Contiguous,
-		Migrate:        s.cfg.Migrate,
-		ProcessECC:     s.cfg.ProcessECC,
-		MaxECCPerJob:   s.cfg.MaxECCPerJob,
-		Malleable:      s.cfg.Malleable,
-		ResizeOverhead: s.cfg.ResizeOverhead,
-		Now:            s.eng.Now(),
-		Dispatched:     s.eng.Dispatched(),
-		Cycles:         s.cycles,
-		DroppedECC:     s.dropped,
-		FragRejects:    s.fragRejects,
-		PeakWaste:      s.peakWaste,
-		Machine:        s.mach.Snapshot(),
-		Metrics:        s.collector.Snapshot(),
-	}
-	if s.cfg.Faults != nil {
-		p := s.cfg.Faults.Retry
-		sn.Retry = &p
-		// Policy none is the zero value and stays off the wire; daly is
-		// captured verbatim with its resolved base interval plus the MTBF
-		// it derives per-job intervals from (see the field comments).
-		if s.cfg.Faults.Checkpoint != fault.CheckpointNone {
-			policy, ivl := wireCheckpoint(s.cfg.Faults)
-			sn.Checkpoint = policy.String()
-			sn.CheckpointInterval = ivl
-			sn.CheckpointCost = s.cfg.Faults.CheckpointCost
-			if policy == fault.CheckpointDaly {
-				sn.CheckpointMTBF = s.cfg.Faults.MTBF
-			}
-		}
+		Version:     SnapshotVersion,
+		Scheduler:   s.cfg.Scheduler.Name(),
+		Settings:    settingsOf(&s.cfg),
+		Now:         s.eng.Now(),
+		Dispatched:  s.eng.Dispatched(),
+		Cycles:      s.cycles,
+		DroppedECC:  s.dropped,
+		FragRejects: s.fragRejects,
+		PeakWaste:   s.peakWaste,
+		Machine:     s.mach.Snapshot(),
+		Metrics:     s.collector.Snapshot(),
 	}
 	index := make(map[*job.Job]int, len(s.jobs))
 	sn.Jobs = make([]job.Job, len(s.jobs))
@@ -325,28 +339,12 @@ func (s *Session) Restore(sn *Snapshot) error {
 	if sn.Version != SnapshotVersion {
 		return fmt.Errorf("engine: snapshot version %d, want %d", sn.Version, SnapshotVersion)
 	}
-	switch {
-	case sn.M != s.cfg.M || sn.Unit != s.cfg.Unit:
-		return fmt.Errorf("engine: snapshot machine %d/%d, config %d/%d", sn.M, sn.Unit, s.cfg.M, s.cfg.Unit)
-	case sn.Contiguous != s.cfg.Contiguous || sn.Migrate != s.cfg.Migrate:
-		return fmt.Errorf("engine: snapshot allocation mode (contiguous=%v migrate=%v) differs from config (contiguous=%v migrate=%v)",
-			sn.Contiguous, sn.Migrate, s.cfg.Contiguous, s.cfg.Migrate)
-	case sn.ProcessECC != s.cfg.ProcessECC || sn.MaxECCPerJob != s.cfg.MaxECCPerJob:
-		return fmt.Errorf("engine: snapshot ECC processing (%v/%d) differs from config (%v/%d)",
-			sn.ProcessECC, sn.MaxECCPerJob, s.cfg.ProcessECC, s.cfg.MaxECCPerJob)
-	case (sn.Retry != nil) != (s.cfg.Faults != nil):
-		return fmt.Errorf("engine: snapshot fault injection (%v) differs from config (%v)",
-			sn.Retry != nil, s.cfg.Faults != nil)
-	case sn.Retry != nil && *sn.Retry != s.cfg.Faults.Retry:
-		return fmt.Errorf("engine: snapshot retry policy %+v differs from config %+v", *sn.Retry, s.cfg.Faults.Retry)
-	case sn.Retry != nil && sn.checkpointMismatch(s.cfg.Faults):
-		return fmt.Errorf("engine: snapshot checkpointing (%s/%d/%d) differs from config (%s/%d/%d)",
-			orNone(sn.Checkpoint), sn.CheckpointInterval, sn.CheckpointCost,
-			s.cfg.Faults.Checkpoint, s.cfg.Faults.ResolvedCheckpointInterval(), s.cfg.Faults.CheckpointCost)
-	case sn.Malleable != s.cfg.Malleable || sn.ResizeOverhead != s.cfg.ResizeOverhead:
-		return fmt.Errorf("engine: snapshot malleability (%v/%d) differs from config (%v/%d)",
-			sn.Malleable, sn.ResizeOverhead, s.cfg.Malleable, s.cfg.ResizeOverhead)
-	case sn.Metrics.M != s.cfg.M:
+	if want := settingsOf(&s.cfg); !reflect.DeepEqual(sn.Settings, want) {
+		got, _ := json.Marshal(sn.Settings)
+		cfg, _ := json.Marshal(want)
+		return fmt.Errorf("engine: snapshot settings %s differ from config %s", got, cfg)
+	}
+	if sn.Metrics.M != s.cfg.M {
 		return fmt.Errorf("engine: snapshot metrics for machine %d, config %d", sn.Metrics.M, s.cfg.M)
 	}
 

@@ -310,11 +310,20 @@ func TestActiveListResortAfterRetime(t *testing.T) {
 	j2 := runningJob(2, 32, 200)
 	a.Insert(j1)
 	a.Insert(j2)
-	// An ET command pushes j1's kill-by past j2's.
+	// An ET command pushes j1's kill-by past j2's; the retimed job is
+	// removed and re-inserted.
 	j1.EndTime = 300
-	a.Resort()
+	a.Remove(j1)
+	a.Insert(j1)
 	if a.At(0) != j2 || a.At(1) != j1 {
-		t.Fatal("Resort did not reorder after EndTime mutation")
+		t.Fatal("re-insert did not reorder after EndTime mutation")
+	}
+	// A tie on kill-by time orders by ID.
+	j2.EndTime = 300
+	a.Remove(j2)
+	a.Insert(j2)
+	if a.At(0) != j1 || a.At(1) != j2 {
+		t.Fatal("re-insert broke an EndTime tie out of ID order")
 	}
 }
 
@@ -357,11 +366,12 @@ func TestPropertyActiveListSorted(t *testing.T) {
 		default:
 			i := r.Intn(len(live))
 			live[i].EndTime = int64(r.Intn(1000))
-			a.Resort()
+			a.Remove(live[i])
+			a.Insert(live[i])
 		}
 		jobs := a.Jobs()
 		for i := 1; i < len(jobs); i++ {
-			if jobs[i-1].EndTime > jobs[i].EndTime {
+			if p, q := jobs[i-1], jobs[i]; p.EndTime > q.EndTime || p.EndTime == q.EndTime && p.ID > q.ID {
 				t.Fatalf("op %d: active list unsorted", op)
 			}
 		}

@@ -202,8 +202,8 @@ func (q *DedicatedQueue) TotalAtHeadStart() int {
 
 // ActiveList is A: running jobs sorted by increasing kill-by time, which at
 // any instant is the same as increasing residual execution time (the
-// paper's ordering). Elastic Control Commands can change a running job's
-// kill-by time, after which Resort must be called.
+// paper's ordering), ties broken by increasing ID. A caller that changes a
+// running job's kill-by time removes and re-inserts it.
 //
 // Live jobs occupy jobs[head:]. Jobs normally finish at their kill-by time
 // — the front of the order — so the common removal just advances head;
@@ -297,16 +297,4 @@ func (a *ActiveList) Find(id int) *Job {
 		}
 	}
 	return nil
-}
-
-// Resort restores kill-by order after an ECC mutated a running job's
-// EndTime.
-func (a *ActiveList) Resort() {
-	live := a.jobs[a.head:]
-	sort.SliceStable(live, func(i, j int) bool {
-		if live[i].EndTime != live[j].EndTime {
-			return live[i].EndTime < live[j].EndTime
-		}
-		return live[i].ID < live[j].ID
-	})
 }

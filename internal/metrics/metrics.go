@@ -491,12 +491,12 @@ func (c *Collector) Summary() Summary {
 // of a sharded run — into the global view; samples[i] must be the sample
 // vectors of the run summarized by sums[i]. Walking the runs in index
 // order keeps every float accumulation deterministic. One run's summary is
-// returned as is. Otherwise the merge sums the job counts, the fault
-// accounting and the machine sizes; spans the window from the earliest
-// first arrival to the latest completion; recomputes Utilization from the
-// runs' busy areas over that window and machine; and takes job-weighted
-// means of the per-run wait, runtime, slowdown, bounded slowdown and
-// per-class waits. MaxWait, MedianWait, P95Wait and the steady-state
+// returned as is. Otherwise the merge sums the job counts, the fault,
+// checkpoint and resize accounting, and the machine sizes; spans the
+// window from the earliest first arrival to the latest completion;
+// recomputes Utilization from the runs' busy areas over that window and
+// machine; and takes job-weighted means of the per-run wait, runtime,
+// slowdown, bounded slowdown and per-class waits. MaxWait, MedianWait, P95Wait and the steady-state
 // window, utilization and mean wait follow the collector's own rules over
 // the union of the samples, so they equal what one collector watching
 // every run would report. MaxQueueDepth stays zero: a global maximum needs
@@ -548,6 +548,11 @@ func Merge(sums []Summary, samples []*Samples) Summary {
 		g.DroppedJobs += s.DroppedJobs
 		g.LostWorkSeconds += s.LostWorkSeconds
 		g.DownProcSeconds += s.DownProcSeconds
+		g.CheckpointsTaken += s.CheckpointsTaken
+		g.CheckpointOverheadSeconds += s.CheckpointOverheadSeconds
+		g.SchedulerResizes += s.SchedulerResizes
+		g.ShrunkProcSeconds += s.ShrunkProcSeconds
+		g.ReconfigOverheadSeconds += s.ReconfigOverheadSeconds
 	}
 	if span := float64(g.WindowEnd - g.WindowStart); span > 0 {
 		g.Utilization = area / (span * float64(g.MachineSize))
