@@ -42,9 +42,12 @@ bench-gate:
 
 # Short fuzz pass over the trace parsers, the DP packing kernels, the
 # persistent capacity profile, the fault-trace parser, the indexed machine
-# differential, and interleaved malleable operations (CI's fuzz smoke runs
-# this target). -fuzz is a regexp that must match exactly one target, hence
-# the anchors.
+# differential, interleaved malleable operations, and the snapshot decoder
+# against its encoding/json oracle (CI's fuzz smoke runs this target). -fuzz
+# is a regexp that must match exactly one target, hence the anchors. The
+# snapshot inputs are tens of kilobytes, which the default 60 s
+# minimization of every new input would spend the whole run on, so that
+# target fuzzes without minimizing.
 fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzParseLine$$' -fuzztime=10s ./internal/cwf
 	$(GO) test -run=NONE -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/cwf
@@ -53,6 +56,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzFaultTrace$$' -fuzztime=10s ./internal/fault
 	$(GO) test -run=NONE -fuzz='^FuzzMachineIndexed$$' -fuzztime=10s ./internal/machine
 	$(GO) test -run=NONE -fuzz='^FuzzMalleableOps$$' -fuzztime=10s ./internal/engine
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=10s -fuzzminimizetime=0 ./internal/engine
 
 # Scale-out smoke: the sharded-dispatch determinism bar (every routing
 # policy x 1/2/4/8 workers), the routing/exact-merge suite, the epoch

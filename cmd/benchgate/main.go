@@ -23,7 +23,9 @@
 // pins relative claims between pairs of benchmarks of the SAME fresh run —
 // machine speed cancels out of the ratio, so these gates hold on any
 // hardware. Gates over ns/op pin wall-clock claims (round-robin must stay
-// slower than least-work at 8 clusters, BenchmarkShardedSkewE2E); gates
+// slower than least-work at 8 clusters, BenchmarkShardedSkewE2E; the
+// encoding/json snapshot decoder must stay at least 3x slower than
+// DecodeSnapshot's cursor, BenchmarkSnapshotCodec); gates
 // over a ReportMetric column pin simulation-quality claims (the epoch
 // protocol's stealing cells must keep beating the static splits on mean
 // wait and makespan, BenchmarkShardedStealE2E). A ratio gate is skipped
@@ -61,6 +63,12 @@ var ratioGates = []struct {
 		faster: "elastisched/internal/dispatch.BenchmarkShardedSkewE2E/route=least-work/clusters=8",
 		min:    1.3,
 		claim:  "least-work beats round-robin on the skewed workload at 8 clusters",
+	},
+	{
+		slower: "elastisched/internal/engine.BenchmarkSnapshotCodec/decode=reference",
+		faster: "elastisched/internal/engine.BenchmarkSnapshotCodec/decode=v4",
+		min:    3.0,
+		claim:  "the cursor decoder reads v4 snapshots at least 3x faster than encoding/json",
 	},
 	{
 		slower: "elastisched/internal/dispatch.BenchmarkShardedStealE2E/route=roundrobin/steal=false",

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"io"
 	"testing"
 
 	"elastisched/internal/fault"
@@ -142,4 +144,48 @@ func BenchmarkWorkloadGenerate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSnapshotCodec measures the snapshot codec on a mid-run snapshot
+// in the shape of perfbench's online-session: 5,000 generated jobs fed
+// online to contiguous Hybrid-LOS with ECC processing, captured after 3000
+// arrivals. decode=v4 is DecodeSnapshot, decode=reference the plain
+// encoding/json decoder it replaced (snapshot_reference_test.go); benchgate
+// pins their same-run ratio. Both read from a bytes.Buffer, as a session
+// resumed from memory does.
+func BenchmarkSnapshotCodec(b *testing.B) {
+	raw := onlineSnapshot(b, 5000, 3000)
+	sn, err := DecodeSnapshot(bytes.NewReader(raw))
+	if err != nil {
+		b.Fatal(err)
+	}
+	decoders := []struct {
+		name   string
+		decode func(io.Reader) (*Snapshot, error)
+	}{
+		{"decode=v4", DecodeSnapshot},
+		{"decode=reference", referenceDecodeSnapshot},
+	}
+	for _, dec := range decoders {
+		b.Run(dec.name, func(b *testing.B) {
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := dec.decode(bytes.NewBuffer(raw)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("encode", func(b *testing.B) {
+		var buf bytes.Buffer
+		b.SetBytes(int64(len(raw)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := sn.Encode(&buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -113,6 +113,14 @@ func hasSizeCommands(w interface{ SizeCommandCount() int }) bool {
 // freshScheduler builds an unused policy instance by name (policies hold
 // scratch state; the table instances above are only used for names/flags).
 func freshScheduler(name string) sched.Scheduler {
+	if p := schedulerNamed(name); p != nil {
+		return p
+	}
+	panic("unknown scheduler " + name)
+}
+
+// schedulerNamed is freshScheduler's table; nil for a name it lacks.
+func schedulerNamed(name string) sched.Scheduler {
 	switch name {
 	case "FCFS":
 		return sched.FCFS{}
@@ -141,7 +149,7 @@ func freshScheduler(name string) sched.Scheduler {
 	case "Adaptive":
 		return core.NewAdaptive(7)
 	default:
-		panic("unknown scheduler " + name)
+		return nil
 	}
 }
 

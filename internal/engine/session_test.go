@@ -9,6 +9,7 @@ import (
 
 	"elastisched/internal/core"
 	"elastisched/internal/cwf"
+	"elastisched/internal/job"
 	"elastisched/internal/sched"
 	"elastisched/internal/workload"
 )
@@ -598,6 +599,69 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	}
 	if _, err := swapped.Result(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoreRejectsCorruptMembership breaks one rule of a snapshot's queue
+// membership or job identity per case. Restore must refuse each before committing anything:
+// the same session then restores the intact snapshot.
+func TestRestoreRejectsCorruptMembership(t *testing.T) {
+	// EASY on 320 processors at t=0: jobs 1 and 2 run, 3 and 4 queue behind
+	// them, 5 and 6 have not arrived.
+	cfg := Config{M: 320, Unit: 32, Scheduler: &sched.EASY{}}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Load(wl(batch(1, 192, 100, 0), batch(2, 128, 100, 0), batch(3, 256, 50, 0),
+		batch(4, 64, 50, 0), batch(5, 32, 10, 500), batch(6, 32, 10, 600))); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntil(0); err != nil {
+		t.Fatal(err)
+	}
+	var enc bytes.Buffer
+	sn, err := s.Snapshot()
+	if err == nil {
+		err = sn.Encode(&enc)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sn.Active) != 2 || len(sn.Batch) != 2 || len(sn.Jobs) != 6 {
+		t.Fatalf("scenario drifted: active %v, batch %v", sn.Active, sn.Batch)
+	}
+	const pending = 4 // job 5: Waiting, in no queue, its arrival pending
+
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(sn *Snapshot)
+	}{
+		{"queued twice", "twice", func(sn *Snapshot) { sn.Batch = append(sn.Batch, sn.Batch[0]) }},
+		{"queued and active", "twice", func(sn *Snapshot) { sn.Batch = append(sn.Batch, sn.Batch[0], sn.Active[0]) }},
+		{"queued not waiting", "batch queue holds job 3 in state finished", func(sn *Snapshot) { sn.Jobs[sn.Batch[0]].State = job.Finished }},
+		{"active not running", "active list holds job 5 in state waiting", func(sn *Snapshot) { sn.Active = append(sn.Active, pending) }},
+		{"running not active", "running but not in the active list", func(sn *Snapshot) { sn.Active = sn.Active[1:] }},
+		{"duplicate ID", "two jobs with ID 6", func(sn *Snapshot) { sn.Jobs[pending].ID = 6 }},
+		{"negative ID", "negative job ID -5", func(sn *Snapshot) { sn.Jobs[pending].ID = -5 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad, err := DecodeSnapshot(bytes.NewReader(enc.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(bad)
+			r, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Restore(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Restore: %v, want an error mentioning %q", err, tc.want)
+			}
+			if err := r.Restore(sn); err != nil {
+				t.Fatalf("the refused Restore left state behind: %v", err)
+			}
+		})
 	}
 }
 

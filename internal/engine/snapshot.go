@@ -204,18 +204,6 @@ func (sn *Snapshot) Encode(w io.Writer) error {
 	return enc.Encode(sn)
 }
 
-// DecodeSnapshot reads a snapshot previously written by Encode.
-func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
-	var sn Snapshot
-	if err := json.NewDecoder(r).Decode(&sn); err != nil {
-		return nil, fmt.Errorf("engine: decoding snapshot: %v", err)
-	}
-	if sn.Version != SnapshotVersion {
-		return nil, fmt.Errorf("engine: snapshot version %d, want %d", sn.Version, SnapshotVersion)
-	}
-	return &sn, nil
-}
-
 // Snapshot captures the session's complete state. It may be called at any
 // instant boundary — which is every point a caller can observe, since
 // Step, RunUntil and Run all return between instants. The session is not
@@ -337,7 +325,7 @@ func (s *Session) Restore(sn *Snapshot) error {
 		return fmt.Errorf("engine: Restore on a session that already has work")
 	}
 	if sn.Version != SnapshotVersion {
-		return fmt.Errorf("engine: snapshot version %d, want %d", sn.Version, SnapshotVersion)
+		return versionError(sn.Version)
 	}
 	if want := settingsOf(&s.cfg); !reflect.DeepEqual(sn.Settings, want) {
 		got, _ := json.Marshal(sn.Settings)
@@ -357,9 +345,10 @@ func (s *Session) Restore(sn *Snapshot) error {
 	hetero := false
 	for i := range clones {
 		jobs[i] = &clones[i]
-		if clones[i].ID > maxID {
-			maxID = clones[i].ID
+		if clones[i].ID < 0 {
+			return fmt.Errorf("engine: snapshot has negative job ID %d", clones[i].ID)
 		}
+		maxID = max(maxID, clones[i].ID)
 		if clones[i].Class == job.Dedicated && clones[i].State != job.Finished {
 			hetero = true
 		}
@@ -367,12 +356,11 @@ func (s *Session) Restore(sn *Snapshot) error {
 	if hetero && !s.cfg.Scheduler.Heterogeneous() {
 		return fmt.Errorf("engine: snapshot has live dedicated jobs but %s is batch-only", s.cfg.Scheduler.Name())
 	}
-
-	jobAt := func(idx int, where string) (*job.Job, error) {
-		if idx < 0 || idx >= len(jobs) {
-			return nil, fmt.Errorf("engine: snapshot %s references job index %d of %d", where, idx, len(jobs))
-		}
-		return jobs[idx], nil
+	if id, dup := duplicateID(clones, maxID); dup {
+		return fmt.Errorf("engine: snapshot has two jobs with ID %d", id)
+	}
+	if err := checkMembership(sn, jobs); err != nil {
+		return err
 	}
 
 	mach, err := machine.FromSnapshot(sn.Machine)
@@ -381,6 +369,9 @@ func (s *Session) Restore(sn *Snapshot) error {
 	}
 	if mach.Total() != s.cfg.M || mach.Unit() != s.cfg.Unit {
 		return fmt.Errorf("engine: snapshot machine state is %d/%d, config %d/%d", mach.Total(), mach.Unit(), s.cfg.M, s.cfg.Unit)
+	}
+	if err := s.checkEvents(sn, jobs, mach.NumGroups()); err != nil {
+		return err
 	}
 
 	// All validation that can fail is done; commit to the session.
@@ -402,94 +393,40 @@ func (s *Session) Restore(sn *Snapshot) error {
 	s.peakWaste = sn.PeakWaste
 
 	for _, idx := range sn.Batch {
-		j, err := jobAt(idx, "batch queue")
-		if err != nil {
-			return err
-		}
-		s.batch.Push(j) // plain tail append: reproduces captured order, rigid prefix included
+		s.batch.Push(jobs[idx]) // plain tail append: reproduces captured order, rigid prefix included
 	}
 	for _, idx := range sn.Dedicated {
-		j, err := jobAt(idx, "dedicated queue")
-		if err != nil {
-			return err
-		}
-		s.ded.Push(j)
+		s.ded.Push(jobs[idx])
 	}
 	for _, idx := range sn.Active {
-		j, err := jobAt(idx, "active list")
-		if err != nil {
-			return err
-		}
-		s.active.Insert(j)
+		s.active.Insert(jobs[idx])
 	}
 
 	// Re-schedule pending events in captured dispatch order: the kernel
 	// assigns sequence numbers monotonically, so this order IS the restored
 	// dispatch order.
 	for _, ev := range sn.Events {
-		if ev.Time < sn.Now {
-			return fmt.Errorf("engine: snapshot event at t=%d before snapshot time %d", ev.Time, sn.Now)
-		}
 		switch ev.Kind {
 		case evArrive:
-			j, err := jobAt(ev.Job, "arrival event")
-			if err != nil {
-				return err
-			}
-			s.eng.AtArg(ev.Time, s.arriveH, j)
+			s.eng.AtArg(ev.Time, s.arriveH, jobs[ev.Job])
 		case evComplete:
-			j, err := jobAt(ev.Job, "completion event")
-			if err != nil {
-				return err
-			}
-			if j.State != job.Running {
-				return fmt.Errorf("engine: snapshot completion for job %d in state %v", j.ID, j.State)
-			}
+			j := jobs[ev.Job]
 			s.setCompletion(j.ID, s.eng.AtArg(ev.Time, s.completeH, j))
 		case evCkpt:
-			j, err := jobAt(ev.Job, "checkpoint event")
-			if err != nil {
-				return err
-			}
-			if j.State != job.Running {
-				return fmt.Errorf("engine: snapshot checkpoint for job %d in state %v", j.ID, j.State)
-			}
-			if s.ckptH == nil {
-				return fmt.Errorf("engine: snapshot checkpoint event at t=%d but the config schedules no checkpoints", ev.Time)
-			}
-			if _, dup := s.ckpt[j.ID]; dup {
-				return fmt.Errorf("engine: snapshot has two pending checkpoints for job %d", j.ID)
-			}
+			j := jobs[ev.Job]
 			s.ckpt[j.ID] = s.eng.AtArg(ev.Time, s.ckptH, j)
 		case evCommand:
-			if ev.Cmd == nil {
-				return fmt.Errorf("engine: snapshot command event at t=%d without a command", ev.Time)
-			}
 			cp := new(cwf.Command)
 			*cp = *ev.Cmd
 			s.eng.AtArg(ev.Time, s.commandH, cp)
 		case evWake:
 			s.eng.At(ev.Time, noopWake)
 		case evFail, evRepair:
-			if sn.Retry == nil {
-				return fmt.Errorf("engine: snapshot %s event at t=%d without fault injection", ev.Kind, ev.Time)
-			}
 			kind := fault.Fail
 			if ev.Kind == evRepair {
 				kind = fault.Repair
 			}
-			fe := &fault.Event{Time: ev.Time, Kind: kind, Groups: append([]int(nil), ev.Groups...)}
-			if len(fe.Groups) == 0 {
-				return fmt.Errorf("engine: snapshot %s event at t=%d names no groups", ev.Kind, ev.Time)
-			}
-			for _, g := range fe.Groups {
-				if g < 0 || g >= s.mach.NumGroups() {
-					return fmt.Errorf("engine: snapshot %s event at t=%d group %d out of range", ev.Kind, ev.Time, g)
-				}
-			}
-			s.eng.AtArg(ev.Time, s.faultH, fe)
-		default:
-			return fmt.Errorf("engine: snapshot event kind %q unknown", ev.Kind)
+			s.eng.AtArg(ev.Time, s.faultH, &fault.Event{Time: ev.Time, Kind: kind, Groups: append([]int(nil), ev.Groups...)})
 		}
 	}
 	s.eng.RestoreClock(sn.Now, sn.Dispatched)
@@ -511,5 +448,123 @@ func (s *Session) Restore(sn *Snapshot) error {
 		s.st.ResetDeltas()
 	}
 	s.loaded = true
+	return nil
+}
+
+// duplicateID returns an ID two of jobs share, if any. IDs are in
+// [0, maxID]; a dense ID space is checked with a flat table, as the
+// completion table is kept (sizeCompletionTable).
+func duplicateID(jobs []job.Job, maxID int) (int, bool) {
+	if maxID < 4*len(jobs)+1024 {
+		seen := make([]bool, maxID+1)
+		for i := range jobs {
+			id := jobs[i].ID
+			if seen[id] {
+				return id, true
+			}
+			seen[id] = true
+		}
+		return 0, false
+	}
+	seen := make(map[int]bool, len(jobs))
+	for i := range jobs {
+		id := jobs[i].ID
+		if seen[id] {
+			return id, true
+		}
+		seen[id] = true
+	}
+	return 0, false
+}
+
+// checkMembership validates a snapshot's queue membership against its
+// jobs: every index in range and listed once across the batch queue, the
+// dedicated queue and the active list; queued jobs Waiting; active jobs
+// Running; and every Running job active.
+func checkMembership(sn *Snapshot, jobs []*job.Job) error {
+	listed := make([]bool, len(jobs))
+	for _, l := range [...]struct {
+		where string
+		idx   []int
+		state job.State
+	}{
+		{"batch queue", sn.Batch, job.Waiting},
+		{"dedicated queue", sn.Dedicated, job.Waiting},
+		{"active list", sn.Active, job.Running},
+	} {
+		for _, idx := range l.idx {
+			if idx < 0 || idx >= len(jobs) {
+				return fmt.Errorf("engine: snapshot %s references job index %d of %d", l.where, idx, len(jobs))
+			}
+			j := jobs[idx]
+			if listed[idx] {
+				return fmt.Errorf("engine: snapshot lists job %d twice across its queues and active list", j.ID)
+			}
+			listed[idx] = true
+			if j.State != l.state {
+				return fmt.Errorf("engine: snapshot %s holds job %d in state %v", l.where, j.ID, j.State)
+			}
+		}
+	}
+	for i, j := range jobs {
+		if j.State == job.Running && !listed[i] {
+			return fmt.Errorf("engine: snapshot job %d is running but not in the active list", j.ID)
+		}
+	}
+	return nil
+}
+
+// checkEvents validates a snapshot's pending events against its jobs and
+// the restored machine's group count, so Restore can schedule them
+// without failing part-way.
+func (s *Session) checkEvents(sn *Snapshot, jobs []*job.Job, groups int) error {
+	ckpt := make(map[int]bool)
+	for _, ev := range sn.Events {
+		if ev.Time < sn.Now {
+			return fmt.Errorf("engine: snapshot event at t=%d before snapshot time %d", ev.Time, sn.Now)
+		}
+		switch ev.Kind {
+		case evArrive, evComplete, evCkpt:
+			if ev.Job < 0 || ev.Job >= len(jobs) {
+				return fmt.Errorf("engine: snapshot %s event references job index %d of %d", ev.Kind, ev.Job, len(jobs))
+			}
+			j := jobs[ev.Job]
+			if ev.Kind == evArrive {
+				continue
+			}
+			if j.State != job.Running {
+				return fmt.Errorf("engine: snapshot %s for job %d in state %v", ev.Kind, j.ID, j.State)
+			}
+			if ev.Kind == evComplete {
+				continue
+			}
+			if s.ckptH == nil {
+				return fmt.Errorf("engine: snapshot checkpoint event at t=%d but the config schedules no checkpoints", ev.Time)
+			}
+			if ckpt[j.ID] {
+				return fmt.Errorf("engine: snapshot has two pending checkpoints for job %d", j.ID)
+			}
+			ckpt[j.ID] = true
+		case evCommand:
+			if ev.Cmd == nil {
+				return fmt.Errorf("engine: snapshot command event at t=%d without a command", ev.Time)
+			}
+		case evWake:
+		case evFail, evRepair:
+			if sn.Retry == nil {
+				return fmt.Errorf("engine: snapshot %s event at t=%d without fault injection", ev.Kind, ev.Time)
+			}
+			if len(ev.Groups) == 0 {
+				return fmt.Errorf("engine: snapshot %s event at t=%d names no groups", ev.Kind, ev.Time)
+			}
+			for _, g := range ev.Groups {
+				if g < 0 || g >= groups {
+					return fmt.Errorf("engine: snapshot %s event at t=%d group %d out of range", ev.Kind, ev.Time, g)
+				}
+			}
+		default:
+			return fmt.Errorf("engine: snapshot event kind %q unknown", ev.Kind)
+		}
+	}
 	return nil
 }
