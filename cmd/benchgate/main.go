@@ -25,7 +25,9 @@
 // hardware. Gates over ns/op pin wall-clock claims (round-robin must stay
 // slower than least-work at 8 clusters, BenchmarkShardedSkewE2E; the
 // encoding/json snapshot decoder must stay at least 3x slower than
-// DecodeSnapshot's cursor, BenchmarkSnapshotCodec); gates
+// DecodeSnapshot's cursor, BenchmarkSnapshotCodec; the reference
+// Reservation_DP table must stay at least 20x slower than the frontier
+// kernel on a wide window, BenchmarkReservationDPWideCold); gates
 // over a ReportMetric column pin simulation-quality claims (the epoch
 // protocol's stealing cells must keep beating the static splits on mean
 // wait and makespan, BenchmarkShardedStealE2E). A ratio gate is skipped
@@ -69,6 +71,12 @@ var ratioGates = []struct {
 		faster: "elastisched/internal/engine.BenchmarkSnapshotCodec/decode=v4",
 		min:    3.0,
 		claim:  "the cursor decoder reads v4 snapshots at least 3x faster than encoding/json",
+	},
+	{
+		slower: "elastisched/internal/core.BenchmarkReservationDPWideCold/solver=reference",
+		faster: "elastisched/internal/core.BenchmarkReservationDPWideCold/solver=fast",
+		min:    20,
+		claim:  "the frontier kernel solves a 129x129-grid Reservation_DP at least 20x faster than the reference table",
 	},
 	{
 		slower: "elastisched/internal/dispatch.BenchmarkShardedStealE2E/route=roundrobin/steal=false",

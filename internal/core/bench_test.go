@@ -158,3 +158,34 @@ func BenchmarkReservationDPUnquantizedCold(b *testing.B) {
 		ReservationDP(windows[i&1], 127, 100, 5000, 0, &s)
 	}
 }
+
+// BenchmarkReservationDPWideCold measures the general two-constraint
+// program at online-session width: 50 candidates of sizes 32·(1..64) on
+// M = 4096 with frec = 2048, a 129x129 capacity grid. Durations straddle
+// the freeze end so neither collapse applies, and two windows alternate to
+// defeat the memo. The solver=reference twin runs the naive oracle on the
+// same windows; cmd/benchgate pins the ratio between the two.
+func BenchmarkReservationDPWideCold(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	var windows [2][]*job.Job
+	for w := range windows {
+		cands := make([]*job.Job, 50)
+		for i := range cands {
+			cands[i] = &job.Job{ID: i + 1, Size: 32 * (1 + r.Intn(64)), Dur: int64(1 + r.Intn(10000)), ReqStart: -1}
+		}
+		windows[w] = cands
+	}
+	b.Run("solver=fast", func(b *testing.B) {
+		var s Scratch
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ReservationDP(windows[i&1], 4096, 2048, 5000, 0, &s)
+		}
+	})
+	b.Run("solver=reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			referenceReservationDP(windows[i&1], 4096, 2048, 5000, 0)
+		}
+	})
+}

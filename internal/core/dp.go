@@ -7,11 +7,12 @@
 // The packing programs run on a fast path engineered for the simulator's
 // hot loop (see DESIGN.md, "Packing-engine performance"): a per-Scratch
 // cycle memo returns the previous selection in O(n) when the DP inputs are
-// unchanged, Reservation_DP collapses to a single knapsack whenever one of
-// its two capacity constraints is slack, DP rows are filled only up to the
-// running suffix weight, and the steady state allocates nothing. The
-// original naive programs are retained in dp_reference.go as the oracle
-// for the differential tests.
+// unchanged, Reservation_DP collapses to a single knapsack when the freeze
+// constraint is slack or mirrors the current one and otherwise solves its
+// two constraints through a size frontier in O(n·m) instead of O(n·m·frec),
+// DP rows are filled only up to the running suffix weight, and the steady
+// state allocates nothing. The original naive programs are retained in
+// dp_reference.go as the oracle for the differential tests.
 package core
 
 import (
@@ -117,8 +118,8 @@ func (s *Scratch) selectAll(n int) {
 
 // growRaw returns an n-element DP buffer WITHOUT zeroing: every DP fill
 // writes each cell it later reads (reads beyond a row's clamp are
-// redirected into the filled region), so only the base-case cell needs
-// initialization.
+// redirected into the filled region or read as unreachable), so only the
+// base-case cell needs initialization.
 func (s *Scratch) growRaw(n int) []int32 {
 	if cap(s.buf) < n {
 		s.buf = make([]int32, n)
@@ -177,7 +178,8 @@ func quantum(cands []*job.Job, caps ...int) int {
 // BasicDP is the paper's Basic_DP: choose the subset of waiting jobs that
 // maximizes current utilization, i.e. a 0/1 knapsack over the candidate
 // window with weight = value = job size and capacity m. Candidates must
-// already fit individually (size <= m); WaitingWindow guarantees that.
+// already fit individually (size <= m); sched.Context.Window guarantees
+// that.
 //
 // The traceback prefers including earlier-queued jobs: the head job is
 // selected whenever *some* maximum-utilization subset contains it, which is
@@ -280,20 +282,19 @@ func (s *Scratch) knapsack1D(w, v, suf []int, C int, sel []int32) []int32 {
 //
 //	frenum <- (t + dur < fret) ? 0 : num.
 //
-// This is a 0/1 knapsack with two capacity dimensions, solved exactly over
-// the candidate window. The fast path collapses a dimension whenever one
-// constraint is slack for every subset:
+// This is a 0/1 knapsack with two capacity dimensions whose value is the
+// first weight (the size), solved exactly over the candidate window:
 //
 //   - total freeze demand <= frec (in particular, every frenum = 0): the
 //     freeze axis never binds and the program degenerates to Basic_DP's
 //     single knapsack over m;
-//   - total size <= m: the current-capacity axis never binds, leaving one
-//     knapsack over frec weighted by freeze demand but valued by size;
 //   - every frenum equals the size: both axes consume identically and the
-//     program collapses to a single knapsack over min(m, frec).
+//     program collapses to a single knapsack over min(m, frec);
+//   - otherwise the size-frontier kernel (reservationFrontier) solves the
+//     general program in O(n·m) rather than the table's O(n·m·frec).
 //
-// All collapses provably return the reference implementation's selection
-// (see dp_reference.go and FuzzDPEquivalence).
+// Every path returns the reference implementation's selection, not just
+// its utilization (see dp_reference.go and FuzzDPEquivalence).
 //
 // The returned slice is Scratch-owned; see the Scratch aliasing contract.
 func ReservationDP(cands []*job.Job, m, frec int, fret, now int64, s *Scratch) []*job.Job {
@@ -308,7 +309,7 @@ func ReservationDP(cands []*job.Job, m, frec int, fret, now int64, s *Scratch) [
 		return s.selection(cands)
 	}
 	n := len(cands)
-	bufs := s.intsBuf(5*n + 2)
+	bufs := s.intsBuf(4*n + 1)
 	fnum := bufs[:n]
 	total1, total2 := 0, 0
 	allFull := true
@@ -339,19 +340,6 @@ func ReservationDP(cands []*job.Job, m, frec int, fret, now int64, s *Scratch) [
 		}
 		s.selIdx = s.knapsack1D(w, w, bufs[2*n:3*n+1], m/g, s.selIdx)
 
-	case total1 <= m:
-		// The current-capacity constraint is slack: a single knapsack over
-		// the freeze capacity, weighted by freeze demand but still valued
-		// by size (zero-demand candidates are free riders).
-		g := quantum(cands, frec)
-		w2 := bufs[n : 2*n]
-		w1 := bufs[2*n : 3*n]
-		for i, j := range cands {
-			w2[i] = fnum[i] / g
-			w1[i] = j.Size / g
-		}
-		s.selIdx = s.knapsack1D(w2, w1, bufs[3*n:4*n+1], frec/g, s.selIdx)
-
 	case allFull:
 		// Every candidate demands its full size at the freeze end: both
 		// axes consume identically, collapsing to one knapsack over
@@ -365,109 +353,94 @@ func ReservationDP(cands []*job.Job, m, frec int, fret, now int64, s *Scratch) [
 		s.selIdx = s.knapsack1D(w, w, bufs[2*n:3*n+1], c/g, s.selIdx)
 
 	default:
-		s.selIdx = s.reservation2D(cands, fnum, bufs, m, frec, s.selIdx)
+		s.selIdx = s.reservationFrontier(cands, fnum, bufs, m, frec, s.selIdx)
 	}
 	s.memoStore()
 	return s.selection(cands)
 }
 
-// reservation2D solves the full two-constraint knapsack. Each DP row is
-// filled only up to its running suffix weights (reads beyond a clamp land
-// in the constant region), and a row's inner loop exits early once the
-// max-utilization bound — the row's weight-1 capacity — is reached, since
-// the row is non-decreasing in the freeze axis and capped by that bound.
-func (s *Scratch) reservation2D(cands []*job.Job, fnum, bufs []int, m, frec int, sel []int32) []int32 {
+// reservationFrontier solves the general two-constraint program exactly
+// through its size frontier. The value of a subset is its weight-1 sum, so
+// the reference table's entry is
+//
+//	V_i(c1, c2) = max{ s <= c1 : f_i[s] <= c2 },
+//
+// where f_i[s] is the least weight-2 (freeze demand) sum among subsets of
+// candidates i..n-1 whose weight-1 sum is exactly s. The kernel fills the
+// (n+1) x (C1+1) table of f, each row only up to its running suffix
+// weight; entries past a row's clamp and sums that no subset reaches within
+// the freeze capacity saturate at inf = C2+1, so a sum of two entries stays
+// far from int32 overflow.
+//
+// The traceback is the reference's: include i iff w1 <= c1, w2 <= c2 and
+// V_i(c1, c2) == w1 + V_{i+1}(c1-w1, c2-w2). It carries the running
+// optimum cur = V_i(c1, c2), so the test needs one frontier read: taking i
+// is one of V_i's options, so V_{i+1}(c1-w1, c2-w2) <= cur-w1, and it
+// equals cur-w1 iff that exact sum fits, f_{i+1}[cur-w1] <= c2-w2.
+// Selections are therefore identical to the reference's, not merely equal
+// in utilization.
+func (s *Scratch) reservationFrontier(cands []*job.Job, fnum, bufs []int, m, frec int, sel []int32) []int32 {
 	n := len(cands)
 	g := quantum(cands, m, frec)
 	w1 := bufs[n : 2*n]
 	w2 := bufs[2*n : 3*n]
-	suf1 := bufs[3*n : 4*n+1]
-	suf2 := bufs[4*n+1 : 5*n+2]
+	suf := bufs[3*n : 4*n+1]
 	for i, j := range cands {
 		w1[i] = j.Size / g
 		w2[i] = fnum[i] / g
 	}
-	suf1[n], suf2[n] = 0, 0
+	suf[n] = 0
 	for i := n - 1; i >= 0; i-- {
-		suf1[i] = suf1[i+1] + w1[i]
-		suf2[i] = suf2[i+1] + w2[i]
+		suf[i] = suf[i+1] + w1[i]
 	}
+	// A freeze demand is 0 or the size, so no subset within c1 <= C1
+	// demands more than C1: capping the freeze axis there changes neither
+	// an optimum nor a traceback test, and keeps inf inside int32.
 	C1 := m / g
-	C2 := frec / g
-	stride := C2 + 1
-	plane := (C1 + 1) * stride
-	dp := s.growRaw((n + 1) * plane)
-	dp[n*plane] = 0 // base row is always read at its clamp, cell 0
+	C2 := min(frec/g, C1)
+	inf := int32(C2 + 1)
+	stride := C1 + 1
+	f := s.growRaw((n + 1) * stride)
+	f[n*stride] = 0 // the empty subset; the base row is clamped at sum 0
 	for i := n - 1; i >= 0; i-- {
-		cur := dp[i*plane:]
-		next := dp[(i+1)*plane:]
-		cl1, cl2 := min(C1, suf1[i]), min(C2, suf2[i])
-		nl1, nl2 := min(C1, suf1[i+1]), min(C2, suf2[i+1])
-		wi1, wi2 := w1[i], w2[i]
-		vi := int32(wi1)
-		lim := min(cl2, nl2)
-		for c1 := 0; c1 <= cl1; c1++ {
-			row := cur[c1*stride : c1*stride+cl2+1]
-			skip := next[min(c1, nl1)*stride:]
-			var take []int32
-			if wi1 <= c1 {
-				take = next[min(c1-wi1, nl1)*stride:]
-			}
-			bound := int32(c1) // utilization can never exceed the capacity used
-			done := false
-			// Up to the next row's clamp both reads are direct (c2-wi2 <= c2).
-			for c2 := 0; c2 <= lim; c2++ {
-				best := skip[c2]
-				if take != nil && wi2 <= c2 {
-					if x := vi + take[c2-wi2]; x > best {
-						best = x
-					}
-				}
-				row[c2] = best
-				if best == bound {
-					// Early exit: the row is non-decreasing in c2 and capped
-					// by the bound, so the rest of it equals best.
-					for k := c2 + 1; k <= cl2; k++ {
-						row[k] = best
-					}
-					done = true
-					break
-				}
-			}
-			if done {
-				continue
-			}
-			// Beyond it the skip-read is the next row's constant tail.
-			skipTail := skip[nl2]
-			for c2 := lim + 1; c2 <= cl2; c2++ {
-				best := skipTail
-				if take != nil && wi2 <= c2 {
-					if x := vi + take[min(c2-wi2, nl2)]; x > best {
-						best = x
-					}
-				}
-				row[c2] = best
-				if best == bound {
-					for k := c2 + 1; k <= cl2; k++ {
-						row[k] = best
-					}
-					break
-				}
-			}
+		cl := min(C1, suf[i])
+		nl := min(C1, suf[i+1]) // <= cl; sums past it are unreachable below i
+		row := f[i*stride : i*stride+cl+1]
+		next := f[(i+1)*stride : (i+1)*stride+nl+1]
+		wi1 := w1[i]
+		wi2 := int32(min(w2[i], int(inf))) // a demand past inf never fits
+		// Below wi1 candidate i cannot be taken: the row is the next row's.
+		lo := min(wi1, cl+1)
+		copy(row[:lo], next)
+		for c := len(next); c < lo; c++ {
+			row[c] = inf
 		}
+		// From wi1 on the take-read c-wi1 is always within the next row
+		// (cl <= nl+wi1); the skip-read is unreachable past nl.
+		for c := lo; c <= cl; c++ {
+			best := min(next[c-wi1]+wi2, inf)
+			if c <= nl && next[c] < best {
+				best = next[c]
+			}
+			row[c] = best
+		}
+	}
+	// The optimum V_0(C1, C2): the largest reachable sum within both axes.
+	cur := min(C1, suf[0])
+	for f[cur] > int32(C2) {
+		cur--
 	}
 	c1, c2 := C1, C2
 	for i := 0; i < n; i++ {
 		if w1[i] > c1 || w2[i] > c2 {
 			continue
 		}
-		cur := dp[i*plane+min(c1, min(C1, suf1[i]))*stride+min(c2, min(C2, suf2[i]))]
-		nl1, nl2 := min(C1, suf1[i+1]), min(C2, suf2[i+1])
-		with := int32(w1[i]) + dp[(i+1)*plane+min(c1-w1[i], nl1)*stride+min(c2-w2[i], nl2)]
-		if cur == with {
+		t := cur - w1[i]
+		if t <= suf[i+1] && f[(i+1)*stride+t] <= int32(c2-w2[i]) { // t <= C1 as cur <= c1
 			sel = append(sel, int32(i))
 			c1 -= w1[i]
 			c2 -= w2[i]
+			cur = t
 		}
 	}
 	return sel

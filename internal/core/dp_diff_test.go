@@ -66,7 +66,7 @@ func TestDPEquivalenceRandomized(t *testing.T) {
 			}
 			total += j.Size
 		}
-		// m always admits each candidate individually (the WaitingWindow
+		// m always admits each candidate individually (the Context.Window
 		// invariant) but usually not the whole window.
 		m := maxSize + r.Intn(total+1)
 
@@ -131,18 +131,88 @@ func TestDPEquivalenceCollapseBranches(t *testing.T) {
 	}
 }
 
+// wideM is the machine size of the wide differential checks: the
+// online-session shape, M = 4096 in 32-processor units, whose 129x129
+// capacity grid is where the frontier kernel and the reference table part
+// ways in cost.
+const wideM = 4096
+
+// TestDPEquivalenceWide checks ReservationDP against the reference on
+// windows as wide as a large machine produces: up to 50 candidates of
+// 32-quantized sizes up to 2048 on M = 4096, with the freeze capacity drawn
+// across [0, M] (so it often exceeds the current capacity m), plus targeted
+// zero-size candidates and frec = 0. The randomized test above stays at
+// n <= 8 and sizes <= 256, which never reaches these grid widths.
+func TestDPEquivalenceWide(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	var s Scratch
+	const trials = 200
+	general := 0
+	for trial := 0; trial < trials; trial++ {
+		n := 1 + r.Intn(50)
+		cands := make([]*job.Job, n)
+		maxSize := 0
+		for i := range cands {
+			size := 32 * (1 + r.Intn(64))
+			if trial%5 == 0 && r.Intn(4) == 0 {
+				size = 0 // a zero-size candidate weighs nothing on either axis
+			}
+			maxSize = max(maxSize, size)
+			cands[i] = &job.Job{ID: i + 1, Size: size, Dur: int64(1 + r.Intn(200)), ReqStart: -1}
+		}
+		m := maxSize + 32*r.Intn((wideM-maxSize)/32+1)
+		frec := 32 * r.Intn(wideM/32+1)
+		if trial%7 == 0 {
+			frec = 0
+		}
+		now := int64(r.Intn(100))
+		fret := now + int64(r.Intn(250))
+
+		total2, allFull := 0, true
+		for _, j := range cands {
+			if j.Dur >= fret-now {
+				total2 += j.Size
+			} else {
+				allFull = false
+			}
+		}
+		if total2 > frec && !allFull {
+			general++
+		}
+
+		got := ReservationDP(cands, m, frec, fret, now, &s)
+		want := referenceReservationDP(cands, m, frec, fret, now)
+		sameSelection(t, "ReservationDP wide", got, want)
+	}
+	if general < trials/2 {
+		t.Fatalf("only %d of %d wide windows reached the general two-constraint kernel", general, trials)
+	}
+}
+
 // FuzzDPEquivalence fuzzes the optimized packing engine against the
 // reference implementations, including an immediate re-solve that drives
-// the memo-hit path.
+// the memo-hit path. A first byte with its high bit set selects the wide
+// mode: 32-quantized sizes up to 2048 (zero included), n up to 50 and
+// capacities up to 4096, the online-session grid; otherwise windows stay
+// small and irregular (n <= 9, sizes <= 64).
 func FuzzDPEquivalence(f *testing.F) {
 	f.Add([]byte{3, 32, 5, 64, 200, 96, 50}, uint16(128), int16(64), uint16(100), uint8(10))
 	f.Add([]byte{2, 7, 1, 13, 255}, uint16(20), int16(0), uint16(3), uint8(0))
 	f.Add([]byte{5, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5}, uint16(7), int16(-3), uint16(0), uint8(50))
+	wide := []byte{0x80 | 50}
+	for i := 0; i < 50; i++ {
+		wide = append(wide, byte(7*i+3), byte(37*i+11))
+	}
+	f.Add(wide, uint16(70), int16(40), uint16(120), uint8(30))
 	f.Fuzz(func(t *testing.T, data []byte, mRaw uint16, frecRaw int16, fretRaw uint16, nowRaw uint8) {
 		if len(data) < 1 {
 			return
 		}
+		wide := data[0]&0x80 != 0
 		n := int(data[0]) % 10
+		if wide {
+			n = int(data[0]&0x7f) % 51
+		}
 		if len(data) < 1+2*n {
 			return
 		}
@@ -150,15 +220,22 @@ func FuzzDPEquivalence(f *testing.F) {
 		cands := make([]*job.Job, 0, n)
 		for i := 0; i < n; i++ {
 			size := int(data[1+2*i])%64 + 1
+			if wide {
+				size = 32 * (int(data[1+2*i]) % 65)
+			}
 			dur := int64(data[2+2*i]) + 1
 			if size > maxSize {
 				maxSize = size
 			}
 			cands = append(cands, &job.Job{ID: i + 1, Size: size, Dur: dur, ReqStart: -1})
 		}
-		// Candidates must fit individually, per the WaitingWindow invariant.
+		// Candidates must fit individually, per the Context.Window invariant.
 		m := maxSize + int(mRaw)%512
 		frec := int(frecRaw)
+		if wide {
+			m = max(maxSize+32*(int(mRaw)%((wideM-maxSize)/32+1)), 32)
+			frec = 32 * (int(frecRaw) % (wideM/32 + 1)) // negative tests the clamp
+		}
 		now := int64(nowRaw)
 		fret := now + int64(fretRaw)%300
 

@@ -227,29 +227,12 @@ func DedicatedFreeze(ctx *Context) (fz Freeze, onTime bool) {
 	return fz, false
 }
 
-// WaitingWindow returns the first `lookahead` batch-queued jobs whose size
-// fits within capacity m, in queue order. lookahead <= 0 means no limit.
-// This is the candidate set handed to the dynamic programs; limiting it to
-// 50 jobs is the LOS paper's complexity containment.
-func WaitingWindow(q *job.BatchQueue, m, lookahead int) []*job.Job {
-	jobs := q.Jobs()
-	out := make([]*job.Job, 0, min(len(jobs), 8))
-	for _, j := range jobs {
-		if lookahead > 0 && len(out) >= lookahead {
-			break
-		}
-		if j.Size <= m {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // Window returns the DP candidate set at this instant: the first
-// `lookahead` queued jobs that fit capacity m AND are individually
-// placeable on the machine right now (identical to WaitingWindow on
-// scatter machines; on contiguous machines, fragmentation-blocked jobs are
-// excluded so the packing programs do not select unplaceable work).
+// `lookahead` batch-queued jobs, in queue order, that fit capacity m AND
+// are individually placeable on the machine right now (on contiguous
+// machines, fragmentation-blocked jobs are excluded so the packing
+// programs do not select unplaceable work). lookahead <= 0 means no
+// limit; capping it at 50 jobs is the LOS paper's complexity containment.
 // The returned slice is valid only until the next Window call on this
 // context.
 func (c *Context) Window(m, lookahead int) []*job.Job {

@@ -189,17 +189,20 @@ func TestDedicatedFreezeEmptyPanics(t *testing.T) {
 	DedicatedFreeze(h.ctx())
 }
 
+// TestWaitingWindow checks the DP candidate window, Context.Window: queue
+// order, the capacity filter and the lookahead cap.
 func TestWaitingWindow(t *testing.T) {
 	h := newHarness(t, 320, 32)
 	h.addBatch(1, 64, 10)
 	h.addBatch(2, 320, 10) // too big for m=128
 	h.addBatch(3, 96, 10)
 	h.addBatch(4, 128, 10)
-	w := WaitingWindow(h.batch, 128, 0)
+	c := h.ctx()
+	w := c.Window(128, 0)
 	if len(w) != 3 || w[0].ID != 1 || w[1].ID != 3 || w[2].ID != 4 {
 		t.Fatalf("window wrong: %v", w)
 	}
-	w = WaitingWindow(h.batch, 128, 2)
+	w = c.Window(128, 2)
 	if len(w) != 2 || w[1].ID != 3 {
 		t.Fatalf("lookahead cap wrong: %v", w)
 	}
