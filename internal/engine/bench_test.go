@@ -5,6 +5,7 @@ import (
 	"io"
 	"testing"
 
+	"elastisched/internal/cwf"
 	"elastisched/internal/fault"
 	"elastisched/internal/sched"
 	"elastisched/internal/workload"
@@ -94,6 +95,40 @@ func BenchmarkSimulate500Malleable(b *testing.B) {
 // of fault injection; the EASY cell is required by benchgate so the fault
 // hot path cannot silently regress.
 func BenchmarkSimulate500Faults(b *testing.B) {
+	benchFaults(b, faults500Workload(b), faults500Config)
+}
+
+// BenchmarkSimulate5000Faults is the deep-queue fault cell, in the shape of
+// perfbench's faults-ckpt: 5000 jobs carrying malleable bounds (which the
+// rigid policies ignore), requeue from the remaining runtime, periodic
+// checkpoints, no ECC processing. Its batch
+// queue runs hundreds of jobs deep, the regime where a scheduling pass that
+// can start nothing dominates, so it shows the batch queue's no-fit gate
+// that the 500-job cell is too shallow to show.
+func BenchmarkSimulate5000Faults(b *testing.B) {
+	p := workload.DefaultParams()
+	p.N = 5000
+	p.PS = 0.5
+	p.TargetLoad = 0.9
+	p.PM = 1.0
+	w, err := workload.Generate(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchFaults(b, w, func(name string) Config {
+		return Config{
+			M: 320, Unit: 32, Scheduler: freshScheduler(name),
+			Faults: &FaultConfig{
+				MTBF: 40000, MTTR: 2000, Seed: 7,
+				Retry:      fault.RetryPolicy{Mode: fault.Requeue, Restart: fault.RemainingRuntime, Backoff: 30},
+				Checkpoint: fault.CheckpointPeriodic, CheckpointInterval: 1800, CheckpointCost: 60,
+			},
+		}
+	})
+}
+
+// faults500Workload is BenchmarkSimulate500Faults' input.
+func faults500Workload(tb testing.TB) *cwf.Workload {
 	p := workload.DefaultParams()
 	p.N = 500
 	p.PS = 0.5
@@ -102,20 +137,32 @@ func BenchmarkSimulate500Faults(b *testing.B) {
 	p.TargetLoad = 0.9
 	w, err := workload.Generate(p)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return w
+}
+
+// faults500Config is BenchmarkSimulate500Faults' configuration under the
+// named policy.
+func faults500Config(name string) Config {
+	return Config{
+		M: 320, Unit: 32, Scheduler: freshScheduler(name), ProcessECC: true,
+		Faults: &FaultConfig{
+			MTBF: 40000, MTTR: 2000, Seed: 7,
+			Retry:      fault.RetryPolicy{Restart: fault.RemainingRuntime, Backoff: 30},
+			Checkpoint: fault.CheckpointPeriodic, CheckpointInterval: 1800, CheckpointCost: 60,
+		},
+	}
+}
+
+// benchFaults runs w under EASY and Delayed-LOS with the configuration cfg
+// builds, reporting the run's events, kills and checkpoints.
+func benchFaults(b *testing.B, w *cwf.Workload, cfg func(name string) Config) {
 	for _, name := range []string{"EASY", "Delayed-LOS"} {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, err := Run(w, Config{
-					M: 320, Unit: 32, Scheduler: freshScheduler(name), ProcessECC: true,
-					Faults: &FaultConfig{
-						MTBF: 40000, MTTR: 2000, Seed: 7,
-						Retry:      fault.RetryPolicy{Restart: fault.RemainingRuntime, Backoff: 30},
-						Checkpoint: fault.CheckpointPeriodic, CheckpointInterval: 1800, CheckpointCost: 60,
-					},
-				})
+				r, err := Run(w, cfg(name))
 				if err != nil {
 					b.Fatal(err)
 				}

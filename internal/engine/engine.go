@@ -677,8 +677,8 @@ func Run(w *cwf.Workload, cfg Config) (*Result, error) {
 // checkInvariants verifies, at the end of an instant, the machine's
 // internal consistency and the paper's Notations-box orderings: W^d sorted
 // by requested start, A sorted by residual (kill-by) time, W^b FIFO by
-// arrival after any rigid prefix, and the machine's used count matching the
-// active list.
+// arrival after any rigid prefix with its counted minimum size matching a
+// recomputation, and the machine's used count matching the active list.
 func (s *Session) checkInvariants() error {
 	if err := s.mach.CheckInvariants(); err != nil {
 		return err
@@ -713,6 +713,17 @@ func (s *Session) checkInvariants() error {
 			// accounting but queue FIFO by admission instant, so pairs
 			// involving one are exempt from the arrival-order check.
 			return fmt.Errorf("engine: batch queue not FIFO at %d", k)
+		}
+	}
+	if len(batch) > 0 {
+		min := batch[0].Size
+		for _, j := range batch[1:] {
+			if j.Size < min {
+				min = j.Size
+			}
+		}
+		if got := s.batch.MinSize(); got != min {
+			return fmt.Errorf("engine: batch queue minimum size %d, recomputed %d", got, min)
 		}
 	}
 	for _, j := range act {
@@ -1000,6 +1011,7 @@ func (s *Session) finishResize(j *job.Job, newSize int, auto bool) {
 // TouchWaiting implements ecc.Target: a queued job's requirements changed
 // in place, invalidating queue-derived scheduler caches.
 func (s *Session) TouchWaiting(j *job.Job) {
+	s.batch.Touch()
 	if s.st != nil {
 		s.st.QueueChanged()
 	}

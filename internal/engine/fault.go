@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"elastisched/internal/fault"
 	"elastisched/internal/job"
@@ -133,9 +134,11 @@ func (s *Session) loadFaults(horizon int64) error {
 		return fmt.Errorf("engine: fault trace: %w", err)
 	}
 	s.ftrace = t
-	for i := range t.Events {
-		ev := t.Events[i] // copy: the event outlives the caller's trace
-		s.eng.AtArg(ev.Time, s.faultH, &ev)
+	// One copy of the events (they outlive the caller's trace) backs every
+	// pending fault event: each event's argument points into it.
+	evs := slices.Clone(t.Events)
+	for i := range evs {
+		s.eng.AtArg(evs[i].Time, s.faultH, &evs[i])
 	}
 	return nil
 }

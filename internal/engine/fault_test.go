@@ -489,3 +489,19 @@ func TestKilledJobStateAndRetryCount(t *testing.T) {
 		t.Fatalf("victim state = %v after drain, want finished", victim.State)
 	}
 }
+
+// TestFaultPathAllocs pins the allocation budget of the fault hot path on
+// BenchmarkSimulate500Faults' EASY cell: the trace, its pending events and
+// the outage victims live in a few shared arrays, not one heap object per
+// event or per outage.
+func TestFaultPathAllocs(t *testing.T) {
+	w := faults500Workload(t)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Run(w, faults500Config("EASY")); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 400 {
+		t.Fatalf("Simulate500Faults/EASY allocates %.0f times per run, budget 400", allocs)
+	}
+}

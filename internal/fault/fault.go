@@ -13,12 +13,13 @@ package fault
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -277,7 +278,15 @@ func Generate(p GenParams) (*Trace, error) {
 	ttf := dist.Exponential{Mean: p.MTBF}
 	ttr := dist.Exponential{Mean: p.MTTR}
 	t := &Trace{}
+	// Every event names one group; the events of group g share the
+	// one-element window ids[g:g+1] of a single backing array (capacity
+	// clipped, so an append by a consumer cannot reach a neighbour).
+	ids := make([]int, p.Groups)
+	for g := range ids {
+		ids[g] = g
+	}
 	for g := 0; g < p.Groups; g++ {
+		gs := ids[g : g+1 : g+1]
 		now := int64(0)
 		for {
 			now += atLeast(ttf.Sample(r), 1)
@@ -286,8 +295,8 @@ func Generate(p GenParams) (*Trace, error) {
 			}
 			up := now + atLeast(ttr.Sample(r), 1)
 			t.Events = append(t.Events,
-				Event{Time: now, Kind: Fail, Groups: []int{g}},
-				Event{Time: up, Kind: Repair, Groups: []int{g}})
+				Event{Time: now, Kind: Fail, Groups: gs},
+				Event{Time: up, Kind: Repair, Groups: gs})
 			now = up
 		}
 	}
@@ -305,15 +314,14 @@ func atLeast(v float64, min int64) int64 {
 // sortEvents orders events by (time, kind, first group): failures before
 // repairs at the same instant, deterministically.
 func sortEvents(evs []Event) {
-	sort.SliceStable(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
+	slices.SortStableFunc(evs, func(a, b Event) int {
+		if c := cmp.Compare(a.Time, b.Time); c != 0 {
+			return c
 		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
+		if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+			return c
 		}
-		return firstGroup(a) < firstGroup(b)
+		return cmp.Compare(firstGroup(a), firstGroup(b))
 	})
 }
 

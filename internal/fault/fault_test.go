@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -353,5 +357,66 @@ func TestDownWindows(t *testing.T) {
 	}
 	if len(win[1]) != 1 || win[1][0] != [2]int64{10, 100} {
 		t.Fatalf("group 1 windows = %v", win[1])
+	}
+}
+
+// sortEventsReference is the reflective sort.SliceStable ordering that
+// sortEvents replaced, kept as its oracle.
+func sortEventsReference(evs []Event) {
+	sort.SliceStable(evs, func(i, j int) bool {
+		a, b := evs[i], evs[j]
+		if a.Time != b.Time {
+			return a.Time < b.Time
+		}
+		if a.Kind != b.Kind {
+			return a.Kind < b.Kind
+		}
+		return firstGroup(a) < firstGroup(b)
+	})
+}
+
+// TestSortEventsMatchesReference pins sortEvents to the reference order on
+// random traces dense in ties: few distinct times, kinds and first groups,
+// empty group lists, and trailing groups that tell tied events apart so a
+// stability difference would show.
+func TestSortEventsMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		n := r.Intn(60)
+		evs := make([]Event, n)
+		for i := range evs {
+			evs[i] = Event{Time: int64(r.Intn(8)), Kind: Kind(r.Intn(2))}
+			if r.Intn(6) > 0 {
+				evs[i].Groups = []int{r.Intn(4), i}
+			}
+		}
+		got := slices.Clone(evs)
+		want := slices.Clone(evs)
+		sortEvents(got)
+		sortEventsReference(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: sortEvents\n%v\nreference\n%v", trial, got, want)
+		}
+	}
+}
+
+// TestGenerateSharesOneGroupArray checks that sampled events of one group
+// share a single backing element, clipped so an append cannot reach the
+// next group's.
+func TestGenerateSharesOneGroupArray(t *testing.T) {
+	tr, err := Generate(GenParams{Groups: 6, MTBF: 3000, MTTR: 500, Horizon: 50000, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := map[int]*int{}
+	for i, e := range tr.Events {
+		if len(e.Groups) != 1 || cap(e.Groups) != 1 {
+			t.Fatalf("event %d: groups %v with capacity %d, want one group, capacity 1", i, e.Groups, cap(e.Groups))
+		}
+		g := e.Groups[0]
+		if p, ok := first[g]; ok && p != &e.Groups[0] {
+			t.Fatalf("event %d: group %d not shared with its earlier events", i, g)
+		}
+		first[g] = &e.Groups[0]
 	}
 }

@@ -173,6 +173,62 @@ func TestBatchQueueFind(t *testing.T) {
 	}
 }
 
+// bruteMinSize is the oracle of BatchQueue.MinSize: a scan of the queue.
+func bruteMinSize(q *BatchQueue) int {
+	min := 0
+	for i, j := range q.Jobs() {
+		if i == 0 || j.Size < min {
+			min = j.Size
+		}
+	}
+	return min
+}
+
+// TestBatchQueueMinSizeProperty drives random Push, PushFront, Remove and
+// in-place resize + Touch sequences, often draining the queue, and checks
+// the counted minimum against a scan after every step. Sizes come from a
+// small set so ties on the minimum, the case the count exists for, are
+// common.
+func TestBatchQueueMinSizeProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	size := func() int { return 32 * (1 + r.Intn(4)) }
+	for trial := 0; trial < 300; trial++ {
+		var q BatchQueue // the zero value must be usable
+		if got := q.MinSize(); got != 0 {
+			t.Fatalf("trial %d: zero-value queue MinSize = %d, want 0", trial, got)
+		}
+		id := 0
+		for step := 0; step < 200; step++ {
+			op := r.Intn(10)
+			switch {
+			case op < 4 || q.Empty():
+				id++
+				q.Push(batchJob(id, size(), 1, int64(id)))
+			case op < 5:
+				id++
+				q.PushFront(batchJob(id, size(), 1, int64(id)))
+			case op < 8:
+				q.Remove(q.At(r.Intn(q.Len())))
+			case op < 9:
+				q.At(r.Intn(q.Len())).Size = size()
+				q.Touch()
+			default:
+				for !q.Empty() {
+					q.Remove(q.Head())
+				}
+			}
+			// Interleaving MinSize calls matters: a rescan re-establishes
+			// the count that later Push and Remove calls update.
+			if r.Intn(3) == 0 {
+				continue
+			}
+			if got, want := q.MinSize(), bruteMinSize(&q); got != want {
+				t.Fatalf("trial %d step %d (op %d): MinSize = %d, scan = %d", trial, step, op, got, want)
+			}
+		}
+	}
+}
+
 // --- DedicatedQueue --------------------------------------------------------
 
 func TestDedicatedQueueSortedByStart(t *testing.T) {

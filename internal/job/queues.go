@@ -13,9 +13,19 @@ import (
 // overwhelmingly common case, since backfilling starts the head whenever it
 // fits — just advances head; Push reclaims the dead prefix when the backing
 // array fills, so head removal is amortized O(1) with no pointer copying.
+//
+// The queue also keeps a counted minimum of its jobs' sizes: minSize, held
+// by minCount queued jobs. It lets a scheduler see in O(1) that no waiting
+// job fits the free capacity. Push, PushFront and Remove maintain it in
+// O(1); minCount == 0 marks it stale, and MinSize then rescans. That
+// happens only after the last job of the minimum size left, or after Touch
+// reported an in-place size change. The zero value is a valid empty queue.
 type BatchQueue struct {
 	jobs []*Job
 	head int
+
+	minSize  int
+	minCount int
 }
 
 // NewBatchQueue returns an empty queue.
@@ -55,6 +65,7 @@ func (q *BatchQueue) Push(j *Job) {
 		q.head = 0
 	}
 	q.jobs = append(q.jobs, j)
+	q.noteAdded(j.Size)
 }
 
 // PushFront inserts a job at the head of the queue. Used by
@@ -63,18 +74,60 @@ func (q *BatchQueue) PushFront(j *Job) {
 	if q.head > 0 {
 		q.head--
 		q.jobs[q.head] = j
-		return
+	} else {
+		q.jobs = append(q.jobs, nil)
+		copy(q.jobs[1:], q.jobs)
+		q.jobs[0] = j
 	}
-	q.jobs = append(q.jobs, nil)
-	copy(q.jobs[1:], q.jobs)
-	q.jobs[0] = j
+	q.noteAdded(j.Size)
 }
+
+// noteAdded folds a job of the given size, just queued, into the counted
+// minimum. A stale minimum stays stale unless the job is the only one.
+func (q *BatchQueue) noteAdded(size int) {
+	switch {
+	case q.Len() == 1:
+		q.minSize, q.minCount = size, 1
+	case q.minCount == 0:
+	case size < q.minSize:
+		q.minSize, q.minCount = size, 1
+	case size == q.minSize:
+		q.minCount++
+	}
+}
+
+// MinSize returns the smallest size among the waiting jobs, or 0 when the
+// queue is empty. It is O(1) except after the last job of the minimum size
+// left or after Touch, when it rescans the queue once.
+func (q *BatchQueue) MinSize() int {
+	if q.Empty() {
+		return 0
+	}
+	if q.minCount == 0 {
+		for i, j := range q.Jobs() {
+			switch {
+			case i == 0 || j.Size < q.minSize:
+				q.minSize, q.minCount = j.Size, 1
+			case j.Size == q.minSize:
+				q.minCount++
+			}
+		}
+	}
+	return q.minSize
+}
+
+// Touch reports that a waiting job's size changed in place, so the
+// counted minimum is recomputed on the next MinSize.
+func (q *BatchQueue) Touch() { q.minCount = 0 }
 
 // Remove deletes job j from the queue, preserving order. It panics if j is
 // not queued: removing an unknown job is always a scheduler bug.
 func (q *BatchQueue) Remove(j *Job) {
 	for i := q.head; i < len(q.jobs); i++ {
 		if q.jobs[i] == j {
+			if q.minCount > 0 && j.Size == q.minSize {
+				q.minCount--
+			}
 			if i == q.head {
 				q.jobs[i] = nil
 				q.head++

@@ -101,6 +101,8 @@ type Machine struct {
 	idxPool [][]int
 	// compact is Compact's reusable placement scratch.
 	compact []placedJob
+	// victims is FailGroups' reusable result scratch.
+	victims []int
 }
 
 // placedJob is Compact's view of one running job: its current leftmost
@@ -722,13 +724,15 @@ func (m *Machine) ShrinkDraining(jobID, minProcs int) (int, error) {
 // go Draining, and the job — returned in victims, deduplicated — must be
 // killed by the caller, whose Release moves its Draining groups to Down.
 // Groups already Down or Draining are skipped. It returns the number of
-// groups newly taken out of service and the victim job IDs.
+// groups newly taken out of service and the victim job IDs; the victims
+// slice is the machine's scratch, valid until the next FailGroups call.
 func (m *Machine) FailGroups(gs []int) (failed int, victims []int, err error) {
 	for _, g := range gs {
 		if g < 0 || g >= len(m.groups) {
 			return failed, victims, fmt.Errorf("machine: fail of group %d outside [0,%d)", g, len(m.groups))
 		}
 	}
+	victims = m.victims[:0]
 	for _, g := range gs {
 		if m.health[g] != Up {
 			continue
@@ -751,6 +755,7 @@ func (m *Machine) FailGroups(gs []int) (failed int, victims []int, err error) {
 			m.noteGroup(g)
 		}
 	}
+	m.victims = victims
 	return failed, victims, nil
 }
 

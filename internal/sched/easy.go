@@ -88,6 +88,16 @@ func (e *EASY) Schedule(ctx *Context) {
 	}
 
 	// Phase 2: the head is blocked; reserve for it and backfill behind it.
+	// No-fit gate: Fits(s) implies s <= Free() in every machine mode, so
+	// when even the smallest queued job exceeds the free capacity the
+	// backfill loop below would start nothing. Skip the reservation and the
+	// scan, and settle exactly as the loop would have.
+	if ctx.Batch.MinSize() > ctx.Free() {
+		if clean && !started {
+			e.settle()
+		}
+		return
+	}
 	head := ctx.Batch.Head()
 	sfz := e.shadowFor(ctx, head, dfz)
 

@@ -145,3 +145,49 @@ func TestEASYHeadLargerThanMachineStalls(t *testing.T) {
 	h.cycle(&EASY{})
 	h.wantStarted()
 }
+
+// TestEASYNoFitGateSettles checks the no-fit gate: when the smallest queued
+// job exceeds the free capacity, Phase 2 returns without a backfill scan
+// and still settles, so the next cycle is skipped until a delta arrives.
+func TestEASYNoFitGateSettles(t *testing.T) {
+	h := newHarness(t, 320, 32)
+	h.addRunning(9, 256, 100)
+	h.addBatch(1, 128, 100)
+	h.addBatch(2, 96, 10)
+	h.addBatch(3, 160, 10)
+	if min, free := h.batch.MinSize(), h.mach.Free(); min <= free {
+		t.Fatalf("setup: min queued size %d fits free %d", min, free)
+	}
+	e := &EASY{}
+	e.ResetDeltas()
+	c := h.ctx()
+	e.Schedule(c)
+	if c.Progress || !e.settled {
+		t.Fatalf("gated pass: progress %v, settled %v; want no progress, settled", c.Progress, e.settled)
+	}
+	if !e.canSkip(h.ctx()) {
+		t.Fatal("cycle after a settled gated pass is not skipped")
+	}
+
+	// A finish unsettles; with 128 free the head starts and the next job
+	// (96) no longer fits the 0 left, so the pass that started the head
+	// gates without settling, and the verification pass settles.
+	h.now = 100
+	h.active.Remove(h.active.Find(9))
+	if err := h.mach.Release(9); err != nil {
+		t.Fatal(err)
+	}
+	h.addRunning(8, 192, 500)
+	e.JobFinished(nil, 100)
+	c = h.ctx()
+	e.Schedule(c)
+	if !c.Progress || e.settled {
+		t.Fatalf("starting pass: progress %v, settled %v; want progress, unsettled", c.Progress, e.settled)
+	}
+	h.wantStarted(1)
+	c = h.ctx()
+	e.Schedule(c)
+	if c.Progress || !e.settled {
+		t.Fatalf("verification pass: progress %v, settled %v; want no progress, settled", c.Progress, e.settled)
+	}
+}

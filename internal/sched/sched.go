@@ -237,6 +237,11 @@ func DedicatedFreeze(ctx *Context) (fz Freeze, onTime bool) {
 // context.
 func (c *Context) Window(m, lookahead int) []*job.Job {
 	out := c.win[:0]
+	if min := c.Batch.MinSize(); min > m || min > c.Free() {
+		// No-fit gate: no queued job is within m, or none can pass Fits,
+		// which implies size <= Free() in every machine mode.
+		return out
+	}
 	for _, j := range c.Batch.Jobs() {
 		if lookahead > 0 && len(out) >= lookahead {
 			break

@@ -1,9 +1,12 @@
 package sched
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"elastisched/internal/job"
+	"elastisched/internal/machine"
 )
 
 func TestFreezeNilAllowsEverything(t *testing.T) {
@@ -205,6 +208,51 @@ func TestWaitingWindow(t *testing.T) {
 	w = c.Window(128, 2)
 	if len(w) != 2 || w[1].ID != 3 {
 		t.Fatalf("lookahead cap wrong: %v", w)
+	}
+}
+
+// TestWindowMatchesScan checks Window, whose no-fit gate skips the queue
+// scan when the smallest queued size exceeds m or the free capacity,
+// against a plain filter of the queue, on scatter and contiguous machines
+// with random occupancy, queues and m.
+func TestWindowMatchesScan(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 400; trial++ {
+		h := newHarness(t, 320, 32)
+		if trial%2 == 1 {
+			h.mach = machine.NewContiguous(320, 32)
+		}
+		for id := 100; r.Intn(3) > 0; id++ {
+			if size := 32 * (1 + r.Intn(4)); size <= h.mach.Free() {
+				h.addRunning(id, size, 50)
+			}
+		}
+		for id := 1; id <= r.Intn(12); id++ {
+			h.addBatch(id, 32*(1+r.Intn(8)), 10)
+		}
+		// Fragment contiguous machines: free some running jobs' groups.
+		for _, a := range append([]*job.Job(nil), h.active.Jobs()...) {
+			if r.Intn(3) == 0 {
+				h.active.Remove(a)
+				if err := h.mach.Release(a.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		m, look := 32*r.Intn(11), r.Intn(4)
+		c := h.ctx()
+		var want []*job.Job
+		for _, j := range h.batch.Jobs() {
+			if look > 0 && len(want) >= look {
+				break
+			}
+			if j.Size <= m && h.mach.Fits(j.Size) {
+				want = append(want, j)
+			}
+		}
+		if got := c.Window(m, look); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Window(%d, %d) = %v, scan %v", trial, m, look, got, want)
+		}
 	}
 }
 
